@@ -16,6 +16,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+# perfbench/ is a workspace of its own, so the workspace build above never
+# compiles it; it must keep building against the public config types.
+echo "==> perfbench build"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo bench --no-run (Criterion benches must keep compiling)"
 cargo bench --workspace --no-run --quiet
 
@@ -46,6 +51,12 @@ cargo run --release -q --example failure_recovery \
 echo "==> bandwidth_trading example smoke (pinned seed)"
 cargo run --release -q --example bandwidth_trading \
     | grep -q "priced spot lease settled: buyer paid, seller earned, books reconcile"
+
+# The churn workload gates entitlement, billing and isolation-cap
+# conservation under trading, the spot market and failover together.
+echo "==> perfbench churn smoke (seed 1)"
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload churn --seed 1 --seconds 1 --trace 0 > /dev/null
 
 echo "==> golden files unchanged"
 if ! git diff --quiet -- results/*.golden BENCH_surv.json BENCH_market.json; then

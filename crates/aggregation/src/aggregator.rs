@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use vbundle_fdetect::{ArrivalWindow, PhiConfig};
+use vbundle_fdetect::{ArrivalWindow, PhiConfig, FIRST_INTERVAL, PHI_THRESHOLD};
 use vbundle_pastry::NodeHandle;
 use vbundle_scribe::{GroupId, ScribeCtx};
 use vbundle_sim::{Message, SimDuration, SimTime};
@@ -223,18 +223,18 @@ impl Aggregator {
     /// expires the cache so rebalancing falls back to local knowledge
     /// instead of steering on a ghost value.
     fn expire_stale(&mut self, now: SimTime) {
-        let Some(phi) = &self.config.staleness else {
+        if self.config.staleness.is_none() {
             return;
-        };
+        }
         let pause = match self.config.mode {
-            UpdateMode::Periodic(interval) => phi.acceptable_pause.max(interval),
-            UpdateMode::Immediate => phi.acceptable_pause.max(phi.first_interval),
+            UpdateMode::Periodic(interval) => interval,
+            UpdateMode::Immediate => FIRST_INTERVAL,
         };
         for st in self.topics.values_mut() {
             let stale = st
                 .results
                 .as_ref()
-                .is_some_and(|w| w.phi(now, phi.min_std_dev, pause) > phi.threshold);
+                .is_some_and(|w| w.phi(now, pause) > PHI_THRESHOLD);
             if stale {
                 st.global = None;
                 st.results = None;
@@ -330,15 +330,15 @@ impl Aggregator {
 
     /// Records an accepted global result in the topic's arrival window.
     fn record_result(config: &AggregationConfig, st: &mut TopicState, now: SimTime) {
-        let Some(phi) = &config.staleness else {
+        if config.staleness.is_none() {
             return;
-        };
+        }
         let estimate = match config.mode {
             UpdateMode::Periodic(interval) => interval,
-            UpdateMode::Immediate => phi.first_interval,
+            UpdateMode::Immediate => FIRST_INTERVAL,
         };
         st.results
-            .get_or_insert_with(|| ArrivalWindow::new(phi.window, estimate))
+            .get_or_insert_with(|| ArrivalWindow::new(estimate))
             .record(now);
     }
 

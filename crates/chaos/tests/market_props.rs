@@ -189,6 +189,74 @@ fn spot_trade_commits_and_bills() {
     assert_conserved(&cluster, "after trading");
 }
 
+/// Rebalancing must not hollow out a lending tenant's bundle. Server 1
+/// hosts tenant 1's idle VM, which lends almost 200 Mbps cross-tenant to
+/// tenant 0 against 500 Mbps of tenant-1 reservations (cap 50%: 250),
+/// next to three hot tenant-1 VMs that make server 1 the cluster's
+/// shedder. Shedding one of them leaves 400 reserved (cap 200); shedding
+/// two leaves 300 (cap 150), so the second shed must be blocked.
+#[test]
+fn rebalance_keeps_lender_under_isolation_cap() {
+    let t = SimTime::from_secs;
+    let topo = Arc::new(
+        Topology::builder()
+            .pods(1)
+            .racks_per_pod(2)
+            .servers_per_rack(2)
+            .build(),
+    );
+    let mut cluster = Cluster::builder(topo)
+        .vbundle(
+            VBundleConfig::default()
+                .with_update_interval(SimDuration::from_secs(5))
+                .with_rebalance_interval(SimDuration::from_secs(60))
+                .with_bundle_trading(true)
+                .with_lease_duration(SimDuration::from_secs(300))
+                .with_spot_market(SpotMarketConfig::default()),
+        )
+        .seed(11)
+        .build();
+    let mut place = |server: usize, customer: u32, res: f64, lim: f64, demand: f64| {
+        let id = cluster.alloc_vm_id();
+        let mut vm = VmRecord::new(
+            id,
+            CustomerId(customer),
+            ResourceSpec::bandwidth(bw(res), bw(lim)),
+        );
+        vm.demand = ResourceVector::bandwidth_only(bw(demand));
+        cluster.install_vm(cluster.topo.server(server), vm);
+    };
+    place(0, 0, 100.0, 100.0, 300.0);
+    place(1, 1, 200.0, 200.0, 2.0);
+    for _ in 0..3 {
+        place(1, 1, 100.0, 300.0, 250.0);
+    }
+    for server in 2..4 {
+        place(server, 2, 50.0, 50.0, 50.0);
+    }
+    cluster.reindex();
+
+    cluster.run_until(t(55));
+    let sold: f64 = cluster
+        .controller(1)
+        .trade_book()
+        .halves()
+        .filter(|h| h.role == LeaseRole::Lender && h.lease.cross_tenant())
+        .map(|h| h.lease.amount.bandwidth.as_mbps())
+        .sum();
+    assert!(
+        sold > 150.0,
+        "no near-cap spot lease before the round: {sold}"
+    );
+
+    cluster.run_until(t(90));
+    assert!(
+        cluster.controller(1).stats.migrations_out >= 1,
+        "the hot lender server never shed"
+    );
+    assert_conserved(&cluster, "after a rebalance round");
+}
+
 /// Runs the full fault scenario: trade, then crash the lender server at
 /// `crash_at`, then let the repair protocols settle. Conservation is
 /// asserted throughout; the digest is returned for replay comparison.

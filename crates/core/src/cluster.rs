@@ -12,7 +12,7 @@ use vbundle_pastry::{
     overlay, IdAssignment, NodeHandle, NodeId, PastryConfig, PastryMsg, PastryNode,
 };
 use vbundle_scribe::{Scribe, ScribeConfig, ScribeMsg};
-use vbundle_sim::{ActorId, Engine, Latency, LatencyModel, SimDuration, SimTime};
+use vbundle_sim::{ActorId, Engine, SimDuration, SimTime};
 
 use crate::message::CtrlMsg;
 use crate::metrics::SatisfactionTotals;
@@ -21,18 +21,16 @@ use crate::{Controller, Customer, ResourceSpec, ResourceVector, VBundleConfig, V
 /// The fully composed engine type of a v-Bundle cluster.
 pub type VbEngine = Engine<PastryMsg<ScribeMsg<CtrlMsg>>, PastryNode<Scribe<Controller>>>;
 
-/// Builder for a [`Cluster`]. Defaults: topology-aware ids, topology-
-/// derived latency, 30 s tree probes, periodic aggregation at the
-/// v-Bundle update interval, paper-default v-Bundle parameters.
+/// Builder for a [`Cluster`]. Node ids are always topology-aware, link
+/// latency is always topology-derived and aggregation is always periodic
+/// at the v-Bundle update interval. Defaults: 30 s tree probes,
+/// paper-default v-Bundle parameters.
 pub struct ClusterBuilder {
     topo: Arc<Topology>,
-    policy: IdAssignment,
     pastry: PastryConfig,
     scribe: ScribeConfig,
     vbundle: VBundleConfig,
     agg: Option<AggregationConfig>,
-    agg_mode: Option<UpdateMode>,
-    latency: Option<Box<dyn LatencyModel>>,
     capacity_fn: Option<Box<dyn Fn(usize) -> ResourceVector>>,
     seed: u64,
     flight_capacity: Option<usize>,
@@ -43,13 +41,10 @@ impl ClusterBuilder {
     pub fn new(topo: Arc<Topology>) -> Self {
         ClusterBuilder {
             topo,
-            policy: IdAssignment::TopologyAware,
             pastry: PastryConfig::default(),
             scribe: ScribeConfig::default().with_probe_interval(SimDuration::from_secs(30)),
             vbundle: VBundleConfig::default(),
             agg: None,
-            agg_mode: None,
-            latency: None,
             capacity_fn: None,
             seed: 42,
             flight_capacity: None,
@@ -60,12 +55,6 @@ impl ClusterBuilder {
     /// `capacity` events, shared by the engine and every subsystem.
     pub fn flight_recorder(mut self, capacity: usize) -> Self {
         self.flight_capacity = Some(capacity);
-        self
-    }
-
-    /// Sets the node-id assignment policy (ablation: random vs topology).
-    pub fn id_assignment(mut self, policy: IdAssignment) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -87,25 +76,12 @@ impl ClusterBuilder {
         self
     }
 
-    /// Overrides the aggregation update mode (default: periodic at the
-    /// v-Bundle update interval).
-    pub fn aggregation_mode(mut self, mode: UpdateMode) -> Self {
-        self.agg_mode = Some(mode);
-        self
-    }
-
     /// Overrides the full aggregation configuration — e.g. to run the
     /// robust (`Defensive`) combine for the poison benches. The update
-    /// mode field is still governed by [`ClusterBuilder::aggregation_mode`]
-    /// and the v-Bundle update interval, not by `config.mode`.
+    /// mode is always periodic at the v-Bundle update interval, whatever
+    /// `config.mode` says.
     pub fn aggregation(mut self, config: AggregationConfig) -> Self {
         self.agg = Some(config);
-        self
-    }
-
-    /// Overrides the latency model (default: topology-derived).
-    pub fn latency(mut self, latency: Box<dyn LatencyModel>) -> Self {
-        self.latency = Some(latency);
         self
     }
 
@@ -125,23 +101,17 @@ impl ClusterBuilder {
 
     /// Launches the cluster: builds the overlay, starts every controller.
     pub fn build(self) -> Cluster {
-        // The default topology model is flattened into the engine's
-        // devirtualized tiered fast path; explicit overrides keep the
-        // boxed trait-object route.
-        let latency = match self.latency {
-            Some(model) => Latency::Model(model),
-            None => TopologyLatency::new(Arc::clone(&self.topo)).devirtualize(),
-        };
+        // The topology model is flattened into the engine's devirtualized
+        // tiered fast path.
+        let latency = TopologyLatency::new(Arc::clone(&self.topo)).devirtualize();
         let agg_config = AggregationConfig {
-            mode: self
-                .agg_mode
-                .unwrap_or(UpdateMode::Periodic(self.vbundle.update_interval)),
+            mode: UpdateMode::Periodic(self.vbundle.update_interval),
             ..self.agg.unwrap_or_default()
         };
         let default_capacity: ResourceVector = self.topo.capacity().into();
         let vb = self.vbundle.clone();
         let scribe_config = self.scribe.clone();
-        let ids = overlay::assign_ids(&self.topo, self.policy);
+        let ids = overlay::assign_ids(&self.topo, IdAssignment::TopologyAware);
         let handles = overlay::handles_for(&ids);
         let states = overlay::build_states(&self.topo, &handles, &self.pastry);
         let mut engine: VbEngine = Engine::with_latency(latency, self.seed);

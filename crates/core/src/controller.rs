@@ -12,7 +12,7 @@
 //!   anycast load-balance queries into the *Less-Loaded* tree; accepting
 //!   receivers hold bandwidth until the VM migrates over.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use vbundle_aggregation::{AggMsg, AggregationConfig, Aggregator, Robustness, AGG_TICK_TAG};
 use vbundle_dcn::{Bandwidth, DomainKind, Topology};
@@ -60,6 +60,43 @@ const MIGRATION_COURIER_SALT: u64 = 0x4d49_4752;
 const TRADE_COURIER_SALT: u64 = 0x5452_4144;
 /// Smallest lease worth the protocol traffic, in Mbps.
 const MIN_LEASE_MBPS: f64 = 1.0;
+/// Receivers sit strictly below the cluster mean less this margin (0:
+/// §III.C classifies every below-mean server as a receiver).
+const RECEIVER_MARGIN: f64 = 0.0;
+/// Load-balance queries one shedder issues per rebalancing round (8):
+/// enough to clear a skewed server in one round without flooding the
+/// Less-Loaded tree.
+const MAX_SHEDS_PER_ROUND: usize = 8;
+/// Simulated duration of one live VM migration (10 s).
+const MIGRATION_DELAY: SimDuration = SimDuration::from_secs(10);
+/// How long a receiver holds bandwidth for an accepted VM (10 min): far
+/// past the migration courier's last retry, so every resend still lands
+/// on reserved bandwidth.
+const HOLD_TIMEOUT: SimDuration = SimDuration::from_mins(10);
+/// Hop budget of a boot query's neighbor walk (4096): more than any
+/// simulated fabric has servers, so only a full cluster rejects a boot.
+const BOOT_TTL: u32 = 4096;
+/// Ceiling of a plausible cluster mean utilization (10): oversubscription
+/// can push demand over capacity past 1, but never this far.
+const MEAN_CEILING: f64 = 10.0;
+/// Fraction of a would-be lender's spare reservation kept back as
+/// self-insurance against its own demand growing mid-lease (10%).
+const TRADE_MARGIN: f64 = 0.1;
+/// Borrow requests one server issues per update tick, per market (4).
+const MAX_TRADES_PER_ROUND: usize = 4;
+/// Seed of each pod's spot price index, per Mbps·s (1.0): the admission
+/// price before the first trade clears.
+const BASE_PRICE: f64 = 1.0;
+/// EWMA weight of each cleared trade in the spot price index (0.2).
+const PRICE_ALPHA: f64 = 0.2;
+/// Lender markup over the price index when quoting an ask (10%).
+const ASK_MARKUP: f64 = 0.1;
+/// Cap on one tenant's prepaid spot spend per borrowing host (10⁶):
+/// spend is metered locally, so a tenant's cluster-wide exposure is this
+/// times its hosts — high enough that only `max_price` prices anyone out.
+const SPOT_BUDGET: f64 = 1_000_000.0;
+/// The provider's cut of every cleared trade's gross (5%).
+const FEE_RATE: f64 = 0.05;
 
 /// The aggregation topic carrying every server's NIC capacity.
 pub fn bw_capacity_topic() -> GroupId {
@@ -209,7 +246,9 @@ pub struct ControllerStats {
     /// [`Counter::get`].
     pub rejected_aggregates: Counter,
     /// Sheds skipped because the candidate VM was party to a live lease
-    /// (migrating a leased VM would strand the entitlement's other half).
+    /// (migrating a leased VM would strand the entitlement's other half),
+    /// or because its departure would leave its customer's cross-tenant
+    /// spot outflow above the isolation cap of what stays.
     /// An obs shard like `rejected_aggregates`, exported under
     /// `controller/sheds_lease_blocked`.
     pub sheds_lease_blocked: Counter,
@@ -277,6 +316,18 @@ struct SurvLedger {
     per_pod: BTreeMap<u32, u32>,
 }
 
+/// The retry cooldowns a VM can sit out, one table for all three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Cooldown {
+    /// Its last load-balance query found no receiver: the next rounds try
+    /// *other* (smaller) VMs instead of livelocking on the largest one.
+    Shed,
+    /// Its last borrow request went unanswered (or is outstanding).
+    Trade,
+    /// Its last spot request went unanswered (or is outstanding).
+    Spot,
+}
+
 /// Per-dimension state of the cluster-mean sanity gate.
 ///
 /// The gate sits between the aggregation trees and the shuffling logic:
@@ -307,21 +358,18 @@ pub struct Controller {
     in_less_loaded: bool,
     holds: Vec<Hold>,
     /// Outstanding load-balance queries: query id → VM planned to move.
-    pending_sheds: HashMap<u64, VmId>,
+    pending_sheds: BTreeMap<u64, VmId>,
     /// Migrations sent but not yet acknowledged: query id → transfer.
     in_flight: BTreeMap<u64, InFlight>,
     /// Retransmission state for in-flight migrations: exponential backoff
     /// with deterministic jitter and a bounded retry budget.
     courier: Courier,
-    /// VMs whose last query found no receiver, with retry-after times:
-    /// the next rounds try *other* (smaller) VMs instead of livelocking on
-    /// the largest one.
-    shed_cooldown: HashMap<VmId, SimTime>,
+    /// VMs sitting out a retry cooldown, with their retry-after times.
+    cooldowns: BTreeMap<(Cooldown, VmId), SimTime>,
     next_query: u64,
-    /// Sanity-gate state per managed resource dimension. Only read through
-    /// [`Controller::effective_mean_for`]; iteration always follows the
-    /// fixed `active_kinds()` order, so the map never affects determinism.
-    mean_gates: HashMap<crate::ResourceKind, MeanGate>,
+    /// Sanity-gate state per resource dimension, indexed by
+    /// `ResourceKind as usize`; `None` until the first reading.
+    mean_gates: [Option<MeanGate>; 3],
     /// This server's halves of committed entitlement leases.
     trade: TradeBook,
     /// Retransmission state for unacked lease grants, keyed by lease id.
@@ -332,9 +380,6 @@ pub struct Controller {
     lease_peers: BTreeMap<u64, NodeHandle>,
     /// Trade trees this server currently belongs to.
     in_trade_groups: BTreeSet<CustomerId>,
-    /// VMs whose last borrow request went unanswered, with retry-after
-    /// times.
-    trade_cooldown: BTreeMap<VmId, SimTime>,
     /// Local counter minting unique lease ids.
     next_lease: u64,
     /// This pod's spot price index: a seeded EWMA of trades this server
@@ -345,9 +390,6 @@ pub struct Controller {
     billing: BillingBook,
     /// Whether this server is currently in its pod's spot group.
     in_spot_group: bool,
-    /// VMs whose last spot request went unanswered (or is outstanding),
-    /// with retry-after times.
-    spot_cooldown: BTreeMap<VmId, SimTime>,
     /// Priced leases already re-quoted near expiry: old id → replacement
     /// id, so one lease is never replaced twice.
     renewal_quoted: BTreeMap<u64, u64>,
@@ -406,8 +448,8 @@ impl Controller {
         // inside the receiver's hold window so they still land on reserved
         // bandwidth.
         let courier = Courier::new(CourierConfig {
-            base_timeout: config.migration_delay * 2 + config.hold_timeout / 8,
-            max_timeout: config.hold_timeout / 2,
+            base_timeout: MIGRATION_DELAY * 2 + HOLD_TIMEOUT / 8,
+            max_timeout: HOLD_TIMEOUT / 2,
             max_attempts: MIGRATION_ATTEMPTS,
             jitter_pct: 10,
             salt: MIGRATION_COURIER_SALT,
@@ -424,7 +466,7 @@ impl Controller {
             salt: TRADE_COURIER_SALT,
         });
         let spot_index = match config.spot_market {
-            Some(mc) => PriceIndex::new(mc.base_price, mc.price_alpha),
+            Some(_) => PriceIndex::new(BASE_PRICE, PRICE_ALPHA),
             None => PriceIndex::new(1.0, 0.0),
         };
         Controller {
@@ -435,22 +477,20 @@ impl Controller {
             status: ServerStatus::Neutral,
             in_less_loaded: false,
             holds: Vec::new(),
-            pending_sheds: HashMap::new(),
+            pending_sheds: BTreeMap::new(),
             in_flight: BTreeMap::new(),
             courier,
-            shed_cooldown: HashMap::new(),
+            cooldowns: BTreeMap::new(),
             next_query: 0,
-            mean_gates: HashMap::new(),
+            mean_gates: [None; 3],
             trade: TradeBook::new(),
             trade_courier,
             lease_peers: BTreeMap::new(),
             in_trade_groups: BTreeSet::new(),
-            trade_cooldown: BTreeMap::new(),
             next_lease: 0,
             spot_index,
             billing: BillingBook::new(),
             in_spot_group: false,
-            spot_cooldown: BTreeMap::new(),
             renewal_quoted: BTreeMap::new(),
             pod_index: 0,
             market_stats: MarketStats::default(),
@@ -705,13 +745,30 @@ impl Controller {
     /// from this server: `cap × Σ base reservations − live cross-tenant
     /// outflow`.
     fn spot_cap_room_mbps(&self, customer: CustomerId, cap: f64, now: SimTime) -> f64 {
-        let base: f64 = self
-            .vms
-            .iter()
-            .filter(|v| v.customer == customer)
-            .map(|v| v.spec.reservation.bandwidth.as_mbps())
-            .sum();
+        let base = self.base_mbps(customer, |_| false);
         (cap.clamp(0.0, 1.0) * base - self.cross_outflow_mbps(customer, now)).max(0.0)
+    }
+
+    /// `customer`'s base bandwidth reservations on this server, in Mbps,
+    /// leaving out the VMs `gone` picks.
+    fn base_mbps(&self, customer: CustomerId, gone: impl Fn(VmId) -> bool) -> f64 {
+        self.vms
+            .iter()
+            .filter(|v| v.customer == customer && !gone(v.id))
+            .map(|v| v.spec.reservation.bandwidth.as_mbps())
+            .sum()
+    }
+
+    /// Whether moving `vm` off this server (after the VMs in `leaving`)
+    /// would leave its customer's committed cross-tenant outflow above the
+    /// isolation cap of the reservations that stay. Always false with the
+    /// spot market off, or for a customer that lends nothing cross-tenant.
+    fn shed_breaks_isolation(&self, vm: &VmRecord, leaving: &[VmId], now: SimTime) -> bool {
+        let Some(mc) = self.config.spot_market else {
+            return false;
+        };
+        let staying = self.base_mbps(vm.customer, |id| id == vm.id || leaving.contains(&id));
+        mc.isolation_cap.clamp(0.0, 1.0) * staying < self.cross_outflow_mbps(vm.customer, now)
     }
 
     /// The cluster-wide mean bandwidth utilization, once the aggregation
@@ -759,7 +816,7 @@ impl Controller {
         if !self.config.mean_gate {
             return self.cluster_mean_for(kind);
         }
-        match self.mean_gates.get(&kind) {
+        match &self.mean_gates[kind as usize] {
             Some(gate) => gate.last_good,
             None => self
                 .cluster_mean_for(kind)
@@ -770,7 +827,7 @@ impl Controller {
     /// Whether a mean reading clears the gate's absolute (memoryless)
     /// plausibility bounds.
     fn mean_in_absolute_bounds(&self, mean: f64) -> bool {
-        mean.is_finite() && (0.0..=self.config.mean_ceiling).contains(&mean)
+        mean.is_finite() && (0.0..=MEAN_CEILING).contains(&mean)
     }
 
     /// Samples the fresh cluster means and advances each dimension's
@@ -786,7 +843,7 @@ impl Controller {
                 continue;
             };
             let in_bounds = self.mean_in_absolute_bounds(reading);
-            let gate = self.mean_gates.entry(kind).or_default();
+            let gate = self.mean_gates[kind as usize].get_or_insert_with(MeanGate::default);
             let plausible = in_bounds
                 && match gate.last_good {
                     Some(lg) => (reading - lg).abs() <= self.config.mean_jump_bound,
@@ -843,7 +900,7 @@ impl Controller {
             && self
                 .active_kinds()
                 .iter()
-                .any(|k| self.mean_gates.get(k).is_some_and(|g| g.streak > 0))
+                .any(|&k| self.mean_gates[k as usize].is_some_and(|g| g.streak > 0))
     }
 
     /// This server's total demand along one dimension, each VM clamped to
@@ -903,7 +960,7 @@ impl Controller {
         // A VM that is mid-shed cannot also be shut down twice: drop any
         // outstanding query bookkeeping for it.
         self.pending_sheds.retain(|_, planned| *planned != vm);
-        self.shed_cooldown.remove(&vm);
+        self.cooldowns.remove(&(Cooldown::Shed, vm));
         // Backstop: drop its lease halves without notifying peers (no ctx
         // here). Callers that can send should use
         // [`Controller::release_vm_leases`] first so the opposite halves
@@ -913,7 +970,7 @@ impl Controller {
             self.lease_peers.remove(&id.0);
             self.trade_courier.forget(id.0);
         }
-        self.trade_cooldown.remove(&vm);
+        self.cooldowns.remove(&(Cooldown::Trade, vm));
         Some(self.vms.remove(pos))
     }
 
@@ -977,10 +1034,16 @@ impl Controller {
                 root: None,
                 caps: None,
                 visited: Vec::new(),
-                ttl: self.config.boot_ttl,
+                ttl: BOOT_TTL,
                 failover: false,
             }),
         );
+    }
+
+    /// Ends every `kind` cooldown whose retry-after time has come.
+    fn expire_cooldowns(&mut self, kind: Cooldown, now: SimTime) {
+        self.cooldowns
+            .retain(|&(k, _), &mut retry_at| k != kind || retry_at > now);
     }
 
     /// Drops lapsed holds. Expiry-at-`now` semantics: a hold is live
@@ -1028,7 +1091,7 @@ impl Controller {
             // at the mean (e.g. a dimension that is uniform across the
             // cluster) does not — otherwise one uniform dimension would
             // veto every receiver.
-            if util > mean - self.config.receiver_margin + 1e-12 {
+            if util > mean - RECEIVER_MARGIN + 1e-12 {
                 all_under = false;
             }
         }
@@ -1094,20 +1157,24 @@ impl Controller {
         // 4. Borrow scan: a VM is starved when its clamped demand exceeds
         // its live limit. Ask for the gap; lenders answer with what they
         // can actually spare.
-        self.trade_cooldown
-            .retain(|_, &mut retry_at| retry_at > now);
+        self.expire_cooldowns(Cooldown::Trade, now);
         // VMs that already tried their own bundle (ask outstanding or
         // unanswered): with the spot market on, these graduate to a priced
         // cross-tenant ask below — intra-bundle trading always gets first
         // refusal.
-        let tried_intra: BTreeSet<VmId> = self.trade_cooldown.keys().copied().collect();
+        let tried_intra: BTreeSet<VmId> = self
+            .cooldowns
+            .keys()
+            .filter(|(kind, _)| *kind == Cooldown::Trade)
+            .map(|&(_, vm)| vm)
+            .collect();
         let me = ctx.self_handle();
         let mut asks: Vec<(VmId, f64)> = Vec::new();
         for vm in &self.vms {
-            if asks.len() >= self.config.max_trades_per_round {
+            if asks.len() >= MAX_TRADES_PER_ROUND {
                 break;
             }
-            if self.trade_cooldown.contains_key(&vm.id) {
+            if self.cooldowns.contains_key(&(Cooldown::Trade, vm.id)) {
                 continue;
             }
             let limit = self.entitled_spec(vm).limit.bandwidth;
@@ -1121,8 +1188,10 @@ impl Controller {
                 Some(vm) => vm.customer,
                 None => continue,
             };
-            self.trade_cooldown
-                .insert(vm_id, now + self.config.update_interval * 2);
+            self.cooldowns.insert(
+                (Cooldown::Trade, vm_id),
+                now + self.config.update_interval * 2,
+            );
             self.trade.stats.requests_sent.inc();
             ctx.anycast(
                 trade_group(customer),
@@ -1171,14 +1240,16 @@ impl Controller {
         // Buy side: a VM still short although it already asked its own
         // bundle shops the pod's spot market, budget and price policy
         // enforced at grant time.
-        self.spot_cooldown.retain(|_, &mut retry_at| retry_at > now);
+        self.expire_cooldowns(Cooldown::Spot, now);
         let me = ctx.self_handle();
         let mut asks: Vec<(VmId, CustomerId, f64)> = Vec::new();
         for vm in &self.vms {
-            if asks.len() >= self.config.max_trades_per_round {
+            if asks.len() >= MAX_TRADES_PER_ROUND {
                 break;
             }
-            if !tried_intra.contains(&vm.id) || self.spot_cooldown.contains_key(&vm.id) {
+            if !tried_intra.contains(&vm.id)
+                || self.cooldowns.contains_key(&(Cooldown::Spot, vm.id))
+            {
                 continue;
             }
             let limit = self.entitled_spec(vm).limit.bandwidth;
@@ -1188,8 +1259,10 @@ impl Controller {
             }
         }
         for (vm_id, customer, short) in asks {
-            self.spot_cooldown
-                .insert(vm_id, now + self.config.update_interval * 2);
+            self.cooldowns.insert(
+                (Cooldown::Spot, vm_id),
+                now + self.config.update_interval * 2,
+            );
             self.market_stats.spot_asks.inc();
             ctx.anycast(
                 spot_group(self.pod_index),
@@ -1244,7 +1317,7 @@ impl Controller {
         if cap <= 0.0 {
             return;
         }
-        self.shed_cooldown.retain(|_, &mut retry_at| retry_at > now);
+        self.expire_cooldowns(Cooldown::Shed, now);
         let vm_demand = |vm: &VmRecord| -> f64 {
             let d = vm.demand.get(kind);
             let l = vm.spec.limit.get(kind);
@@ -1254,7 +1327,7 @@ impl Controller {
                 d
             }
         };
-        let pending: Vec<VmId> = self.pending_sheds.values().copied().collect();
+        let mut pending: Vec<VmId> = self.pending_sheds.values().copied().collect();
         let mut projected: f64 = self
             .vms
             .iter()
@@ -1264,7 +1337,9 @@ impl Controller {
         let mut candidates: Vec<VmRecord> = self
             .vms
             .iter()
-            .filter(|vm| !pending.contains(&vm.id) && !self.shed_cooldown.contains_key(&vm.id))
+            .filter(|vm| {
+                !pending.contains(&vm.id) && !self.cooldowns.contains_key(&(Cooldown::Shed, vm.id))
+            })
             .copied()
             .collect();
         // A VM party to a live lease stays put: migrating it would strand
@@ -1275,21 +1350,16 @@ impl Controller {
             candidates.retain(|vm| !self.trade.vm_involved(vm.id));
             let blocked = (before - candidates.len()) as u64;
             if blocked > 0 {
-                self.stats.sheds_lease_blocked.add(blocked);
-                self.flight.event_with(
-                    self.clock.as_micros(),
-                    self.obs_node,
-                    Subsystem::Controller,
-                    "shed-lease-blocked",
-                    || format!("{blocked} candidate VMs held by live leases"),
-                );
+                self.block_sheds(blocked, || {
+                    format!("{blocked} candidate VMs held by live leases")
+                });
             }
         }
         candidates.sort_by(|a, b| vm_demand(b).total_cmp(&vm_demand(a)));
         let stop_line = mean + self.config.threshold;
         let mut issued = 0;
         for vm in candidates {
-            if issued >= self.config.max_sheds_per_round {
+            if issued >= MAX_SHEDS_PER_ROUND {
                 break;
             }
             if projected / cap <= stop_line {
@@ -1300,9 +1370,16 @@ impl Controller {
             if after / cap < mean - self.config.threshold {
                 continue;
             }
+            if self.shed_breaks_isolation(&vm, &pending, now) {
+                self.block_sheds(1, || {
+                    format!("vm {:?} anchors its bundle's spot outflow", vm.id)
+                });
+                continue;
+            }
             let query = self.next_query;
             self.next_query += 1;
             self.pending_sheds.insert(query, vm.id);
+            pending.push(vm.id);
             self.stats.queries_sent += 1;
             ctx.anycast(
                 less_loaded_group(),
@@ -1315,6 +1392,20 @@ impl Controller {
             projected = after;
             issued += 1;
         }
+    }
+
+    /// Counts `n` sheds skipped because a move would strand a live lease
+    /// half or break the spot isolation cap, with a flight event saying
+    /// which.
+    fn block_sheds(&self, n: u64, why: impl FnOnce() -> String) {
+        self.stats.sheds_lease_blocked.add(n);
+        self.flight.event_with(
+            self.clock.as_micros(),
+            self.obs_node,
+            Subsystem::Controller,
+            "shed-lease-blocked",
+            why,
+        );
     }
 
     /// §III.C step 3: the receiver's double check before accepting a VM.
@@ -1589,14 +1680,15 @@ impl Controller {
         // A lease may have been committed after this shed was planned;
         // re-check so the migration never strands a live half.
         if self.config.bundle_trading && self.trade.vm_involved(vm_id) {
-            self.stats.sheds_lease_blocked.inc();
-            self.flight.event_with(
-                self.clock.as_micros(),
-                self.obs_node,
-                Subsystem::Controller,
-                "shed-lease-blocked",
-                || format!("vm {vm_id:?} re-leased while query was in flight"),
-            );
+            self.block_sheds(1, || {
+                format!("vm {vm_id:?} re-leased while query was in flight")
+            });
+            return;
+        }
+        if self.shed_breaks_isolation(&self.vms[pos], &[], ctx.now()) {
+            self.block_sheds(1, || {
+                format!("vm {vm_id:?} came to anchor spot outflow while query was in flight")
+            });
             return;
         }
         if self.config.cost_benefit && !self.migration_worthwhile(&self.vms[pos]) {
@@ -1635,7 +1727,7 @@ impl Controller {
                 vm,
                 from: me,
             },
-            self.config.migration_delay,
+            MIGRATION_DELAY,
         );
         debug_assert!(query < MIGRATE_RETRY_TAG_BASE);
         ctx.schedule(timeout, MIGRATE_RETRY_TAG_BASE | query);
@@ -1705,6 +1797,86 @@ impl Controller {
         ctx.send_client(from, CtrlMsg::MigrateAck { query });
     }
 
+    /// What `vm` can lend right now, in Mbps. A lender's offer is bounded
+    /// by two different ceilings:
+    ///  - `spare`: live entitlement the VM is not using (minus the
+    ///    self-insurance margin), so lending never starves the lender;
+    ///  - `lendable`: base reservation minus what the VM already lent
+    ///    out. Borrowed entitlement is deliberately NOT re-lendable —
+    ///    re-lending would let a released upstream lease drive the middle
+    ///    row negative and mint phantom credit.
+    fn lend_room_mbps(&self, vm: &VmRecord, now: SimTime) -> f64 {
+        let spec = self.entitled_spec(vm);
+        let used = vm.demand.bandwidth.min(spec.limit.bandwidth).as_mbps();
+        let spare = (spec.reservation.bandwidth.as_mbps() - used).max(0.0) * (1.0 - TRADE_MARGIN);
+        let (_, outflow) = self.trade.delta(vm.id, now);
+        let lendable = (vm.spec.reservation.bandwidth - outflow.bandwidth)
+            .as_mbps()
+            .max(0.0);
+        spare.min(lendable)
+    }
+
+    /// The hosted VM with the most room to lend among those `eligible`
+    /// picks, `bound` capping each VM's [`Controller::lend_room_mbps`];
+    /// ties go to the lower VM id. A VM with a load-balance query
+    /// outstanding never lends: it may be gone before the lease is.
+    fn best_lender(
+        &self,
+        now: SimTime,
+        eligible: impl Fn(&VmRecord) -> bool,
+        mut bound: impl FnMut(&VmRecord, f64) -> f64,
+    ) -> Option<(VmRecord, f64)> {
+        self.vms
+            .iter()
+            .filter(|vm| eligible(vm) && !self.pending_sheds.values().any(|&p| p == vm.id))
+            .map(|vm| (*vm, bound(vm, self.lend_room_mbps(vm, now))))
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.id.cmp(&a.0.id)))
+    }
+
+    /// Mints `lease` as this server's lender half under a fresh id and
+    /// sends the grant to the borrower's host `to`, chasing its ack via the
+    /// trade courier. A priced lease is booked as revenue the moment it is
+    /// debited (prepaid; reversed only on provable delivery failure) and
+    /// its price folds into this pod's index. `label` and `detail` make
+    /// the flight event. Returns the new lease id.
+    fn mint_grant(
+        &mut self,
+        ctx: &mut ScribeCtx<'_, '_, '_, '_, CtrlMsg>,
+        mut lease: Lease,
+        to: NodeHandle,
+        label: &'static str,
+        detail: impl FnOnce(&Lease) -> String,
+    ) -> u64 {
+        let raw = ((ctx.self_handle().actor.index() as u64) << 32) | self.next_lease;
+        self.next_lease += 1;
+        debug_assert!(raw < TRADE_RETRY_TAG_BASE);
+        lease.id = LeaseId(raw);
+        self.trade.record(lease, LeaseRole::Lender, to.actor);
+        self.lease_peers.insert(raw, to);
+        self.trade.stats.grants_sent.inc();
+        if lease.is_priced() {
+            if let Some(entry) = BillingEntry::for_lease(&lease, EntrySide::Revenue, FEE_RATE) {
+                self.billing.record(entry);
+            }
+            // The lender observes its own clearing optimistically at mint
+            // — once per lease, whatever the ack path does. The rare
+            // reversal leaves a slightly stale index, never a corrupt
+            // ledger.
+            self.spot_index.observe(lease.price);
+        }
+        self.flight.event_with(
+            ctx.now().as_micros(),
+            self.obs_node,
+            Subsystem::Controller,
+            label,
+            || detail(&lease),
+        );
+        let timeout = self.trade_courier.register(raw);
+        ctx.send_client(to, CtrlMsg::BorrowGrant { lease });
+        ctx.schedule(timeout, TRADE_RETRY_TAG_BASE | raw);
+        raw
+    }
+
     /// A [`BorrowRequest`] walked the customer's trade tree to this
     /// server. Accepting means committing as lender on the spot: pick the
     /// hosted sibling with the most room, debit it, and chase the
@@ -1714,73 +1886,38 @@ impl Controller {
         ctx: &mut ScribeCtx<'_, '_, '_, '_, CtrlMsg>,
         q: &BorrowRequest,
     ) -> bool {
-        let me = ctx.self_handle();
-        if q.origin.actor == me.actor {
+        if q.origin.actor == ctx.self_handle().actor {
             return false; // intra-server imbalance is the shaper's job
         }
         let now = ctx.now();
-        let ask = q.amount.bandwidth.as_mbps();
-        // A lender's offer is bounded by two different ceilings:
-        //  - `spare`: live entitlement its VM is not using (minus the
-        //    self-insurance margin), so lending never starves the lender;
-        //  - `lendable`: base reservation minus what the VM already lent
-        //    out. Borrowed entitlement is deliberately NOT re-lendable —
-        //    re-lending would let a released upstream lease drive the
-        //    middle row negative and mint phantom credit.
-        let margin = (1.0 - self.config.trade_margin).max(0.0);
-        let best = self
-            .vms
-            .iter()
-            .filter(|vm| vm.customer == q.customer && vm.id != q.borrower)
-            .filter(|vm| !self.pending_sheds.values().any(|&p| p == vm.id))
-            .map(|vm| {
-                let spec = self.entitled_spec(vm);
-                let used = vm.demand.bandwidth.min(spec.limit.bandwidth).as_mbps();
-                let spare = (spec.reservation.bandwidth.as_mbps() - used).max(0.0) * margin;
-                let (_, outflow) = self.trade.delta(vm.id, now);
-                let lendable = (vm.spec.reservation.bandwidth - outflow.bandwidth)
-                    .as_mbps()
-                    .max(0.0);
-                (vm.id, spare.min(lendable))
-            })
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
+        let best = self.best_lender(
+            now,
+            |vm| vm.customer == q.customer && vm.id != q.borrower,
+            |_, room| room,
+        );
         let Some((lender, room)) = best else {
             return false;
         };
-        let give = room.min(ask);
+        let give = room.min(q.amount.bandwidth.as_mbps());
         if give < MIN_LEASE_MBPS {
             return false;
         }
-        let raw = ((me.actor.index() as u64) << 32) | self.next_lease;
-        self.next_lease += 1;
-        debug_assert!(raw < TRADE_RETRY_TAG_BASE);
         let lease = Lease::free(
-            LeaseId(raw),
+            LeaseId(0),
             q.customer,
-            lender,
+            lender.id,
             q.borrower,
             ResourceVector::bandwidth_only(Bandwidth::from_mbps(give)),
             now,
             now + self.config.lease_duration,
         );
-        self.trade.record(lease, LeaseRole::Lender, q.origin.actor);
-        self.lease_peers.insert(raw, q.origin);
-        self.trade.stats.grants_sent.inc();
-        self.flight.event_with(
-            now.as_micros(),
-            self.obs_node,
-            Subsystem::Controller,
-            "lease-grant",
-            || {
-                format!(
-                    "lease {raw:#x}: {give} Mbps to node#{}",
-                    q.origin.actor.index()
-                )
-            },
-        );
-        let timeout = self.trade_courier.register(raw);
-        ctx.send_client(q.origin, CtrlMsg::BorrowGrant { lease });
-        ctx.schedule(timeout, TRADE_RETRY_TAG_BASE | raw);
+        self.mint_grant(ctx, lease, q.origin, "lease-grant", |l| {
+            format!(
+                "lease {:#x}: {give} Mbps to node#{}",
+                l.id.0,
+                q.origin.actor.index()
+            )
+        });
         true
     }
 
@@ -1788,8 +1925,7 @@ impl Controller {
     /// server. Like [`Controller::try_lend`], but the candidate lenders
     /// are *other tenants'* VMs, the offer is additionally bounded by the
     /// per-customer isolation cap, and the minted lease carries the
-    /// quoted spot price — booked as revenue the moment it is debited
-    /// (prepaid; reversed only on provable delivery failure).
+    /// quoted spot price.
     fn try_lend_spot(
         &mut self,
         ctx: &mut ScribeCtx<'_, '_, '_, '_, CtrlMsg>,
@@ -1798,84 +1934,49 @@ impl Controller {
         let Some(mc) = self.config.spot_market else {
             return false;
         };
-        let me = ctx.self_handle();
-        if q.origin.actor == me.actor {
+        if q.origin.actor == ctx.self_handle().actor {
             return false; // a server never sells to itself
         }
         let now = ctx.now();
-        let ask = q.amount.bandwidth.as_mbps();
-        let margin = (1.0 - self.config.trade_margin).max(0.0);
         let mut capped = false;
-        let best = self
-            .vms
-            .iter()
-            .filter(|vm| vm.customer != q.customer)
-            .filter(|vm| !self.pending_sheds.values().any(|&p| p == vm.id))
-            .map(|vm| {
-                let spec = self.entitled_spec(vm);
-                let used = vm.demand.bandwidth.min(spec.limit.bandwidth).as_mbps();
-                let spare = (spec.reservation.bandwidth.as_mbps() - used).max(0.0) * margin;
-                let (_, outflow) = self.trade.delta(vm.id, now);
-                let lendable = (vm.spec.reservation.bandwidth - outflow.bandwidth)
-                    .as_mbps()
-                    .max(0.0);
+        let best = self.best_lender(
+            now,
+            |vm| vm.customer != q.customer,
+            |vm, uncapped| {
                 let cap_room = self.spot_cap_room_mbps(vm.customer, mc.isolation_cap, now);
-                let uncapped = spare.min(lendable);
                 if uncapped >= MIN_LEASE_MBPS && cap_room < MIN_LEASE_MBPS {
                     capped = true;
                 }
-                (vm.id, vm.customer, uncapped.min(cap_room))
-            })
-            .max_by(|a, b| a.2.total_cmp(&b.2).then(b.0.cmp(&a.0)));
-        let Some((lender, seller, room)) = best else {
+                uncapped.min(cap_room)
+            },
+        );
+        let Some((lender, room)) = best else {
             return false;
         };
-        let give = room.min(ask);
+        let give = room.min(q.amount.bandwidth.as_mbps());
         if give < MIN_LEASE_MBPS {
             if capped {
                 self.market_stats.spot_rejected_cap.inc();
             }
             return false;
         }
-        let raw = ((me.actor.index() as u64) << 32) | self.next_lease;
-        self.next_lease += 1;
-        debug_assert!(raw < TRADE_RETRY_TAG_BASE);
         let mut lease = Lease::free(
-            LeaseId(raw),
-            seller,
-            lender,
+            LeaseId(0),
+            lender.customer,
+            lender.id,
             q.borrower,
             ResourceVector::bandwidth_only(Bandwidth::from_mbps(give)),
             now,
             now + self.config.lease_duration,
         );
         lease.buyer = q.customer;
-        lease.price = self.spot_index.quote(mc.ask_markup);
-        self.trade.record(lease, LeaseRole::Lender, q.origin.actor);
-        self.lease_peers.insert(raw, q.origin);
-        self.trade.stats.grants_sent.inc();
-        if let Some(entry) = BillingEntry::for_lease(&lease, EntrySide::Revenue, mc.fee_rate) {
-            self.billing.record(entry);
-        }
-        // The lender observes its own clearing optimistically at mint —
-        // once per lease, whatever the ack path does. The rare reversal
-        // leaves a slightly stale index, never a corrupt ledger.
-        self.spot_index.observe(lease.price);
-        self.flight.event_with(
-            now.as_micros(),
-            self.obs_node,
-            Subsystem::Controller,
-            "spot-grant",
-            || {
-                format!(
-                    "lease {raw:#x}: {give} Mbps at {:.4}/Mbps·s to customer {}",
-                    lease.price, q.customer.0
-                )
-            },
-        );
-        let timeout = self.trade_courier.register(raw);
-        ctx.send_client(q.origin, CtrlMsg::BorrowGrant { lease });
-        ctx.schedule(timeout, TRADE_RETRY_TAG_BASE | raw);
+        lease.price = self.spot_index.quote(ASK_MARKUP);
+        self.mint_grant(ctx, lease, q.origin, "spot-grant", |l| {
+            format!(
+                "lease {:#x}: {give} Mbps at {:.4}/Mbps·s to customer {}",
+                l.id.0, l.price, q.customer.0
+            )
+        });
         true
     }
 
@@ -1919,12 +2020,8 @@ impl Controller {
         {
             return;
         }
-        let me = ctx.self_handle();
-        let raw = ((me.actor.index() as u64) << 32) | self.next_lease;
-        self.next_lease += 1;
-        debug_assert!(raw < TRADE_RETRY_TAG_BASE);
         let mut lease = Lease::free(
-            LeaseId(raw),
+            LeaseId(0),
             h.lease.customer,
             h.lease.lender,
             h.lease.borrower,
@@ -1933,31 +2030,15 @@ impl Controller {
             h.lease.expires + self.config.lease_duration,
         );
         lease.buyer = h.lease.buyer;
-        lease.price = self.spot_index.quote(mc.ask_markup);
-        self.trade.record(lease, LeaseRole::Lender, from.actor);
-        self.lease_peers.insert(raw, from);
-        self.trade.stats.grants_sent.inc();
-        if let Some(entry) = BillingEntry::for_lease(&lease, EntrySide::Revenue, mc.fee_rate) {
-            self.billing.record(entry);
-        }
-        self.spot_index.observe(lease.price);
+        lease.price = self.spot_index.quote(ASK_MARKUP);
+        let raw = self.mint_grant(ctx, lease, from, "spot-requote", |l| {
+            format!(
+                "lease {:#x} replaced by {:#x} at {:.4}/Mbps·s",
+                id.0, l.id.0, l.price
+            )
+        });
         self.renewal_quoted.insert(id.0, raw);
         self.market_stats.requotes.inc();
-        self.flight.event_with(
-            now.as_micros(),
-            self.obs_node,
-            Subsystem::Controller,
-            "spot-requote",
-            || {
-                format!(
-                    "lease {:#x} replaced by {raw:#x} at {:.4}/Mbps·s",
-                    id.0, lease.price
-                )
-            },
-        );
-        let timeout = self.trade_courier.register(raw);
-        ctx.send_client(from, CtrlMsg::BorrowGrant { lease });
-        ctx.schedule(timeout, TRADE_RETRY_TAG_BASE | raw);
     }
 
     /// A lender's committed offer arrived at the borrower's host.
@@ -2001,7 +2082,7 @@ impl Controller {
                     } else if lease.price > mc.max_price {
                         self.market_stats.spot_rejected_price.inc();
                         false
-                    } else if self.billing.spent_by(lease.buyer.0) + lease.gross() > mc.budget {
+                    } else if self.billing.spent_by(lease.buyer.0) + lease.gross() > SPOT_BUDGET {
                         self.market_stats.spot_rejected_budget.inc();
                         false
                     } else {
@@ -2014,32 +2095,29 @@ impl Controller {
             self.trade.record(lease, LeaseRole::Borrower, from.actor);
             self.lease_peers.insert(id.0, from);
             self.trade.stats.leases_borrowed.inc();
+            // Only an on-market controller accepts a priced grant.
             if lease.is_priced() {
-                if let Some(mc) = self.config.spot_market {
-                    if let Some(entry) =
-                        BillingEntry::for_lease(&lease, EntrySide::Spend, mc.fee_rate)
-                    {
-                        self.billing.record(entry);
-                    }
-                    // The buyer's side of price discovery: the cleared
-                    // price steers this pod's index too.
-                    self.spot_index.observe(lease.price);
-                    self.market_stats.spot_trades.inc();
-                    self.flight.event_with(
-                        now.as_micros(),
-                        self.obs_node,
-                        Subsystem::Controller,
-                        "spot-borrowed",
-                        || {
-                            format!(
-                                "lease {:#x} at {:.4}/Mbps·s from node#{}",
-                                id.0,
-                                lease.price,
-                                from.actor.index()
-                            )
-                        },
-                    );
+                if let Some(entry) = BillingEntry::for_lease(&lease, EntrySide::Spend, FEE_RATE) {
+                    self.billing.record(entry);
                 }
+                // The buyer's side of price discovery: the cleared price
+                // steers this pod's index too.
+                self.spot_index.observe(lease.price);
+                self.market_stats.spot_trades.inc();
+                self.flight.event_with(
+                    now.as_micros(),
+                    self.obs_node,
+                    Subsystem::Controller,
+                    "spot-borrowed",
+                    || {
+                        format!(
+                            "lease {:#x} at {:.4}/Mbps·s from node#{}",
+                            id.0,
+                            lease.price,
+                            from.actor.index()
+                        )
+                    },
+                );
             } else {
                 self.flight.event_with(
                     now.as_micros(),
@@ -2086,6 +2164,22 @@ impl Controller {
         self.lease_peers.remove(&id.0);
         self.trade_courier.forget(id.0);
         self.trade.revert(id)
+    }
+
+    /// Takes back a grant the borrower provably never recorded (it
+    /// refused, or the grant bounced): drops the lender half and counts
+    /// the rejection. A `priced` lease's revenue is reversed too, since
+    /// nobody booked spend for it, and if it was a renewal replacement
+    /// the old lease may be re-quoted again later.
+    fn reclaim_grant(&mut self, id: LeaseId, priced: bool) {
+        self.drop_lease_half(id);
+        self.trade.stats.grants_rejected.inc();
+        if priced {
+            if self.billing.reverse(id.0).is_some() {
+                self.market_stats.billing_reversals.inc();
+            }
+            self.renewal_quoted.retain(|_, &mut newer| newer != id.0);
+        }
     }
 
     /// The rack index behind an actor, if it maps to a server of the
@@ -2264,7 +2358,7 @@ impl Controller {
             root: None,
             caps: None,
             visited,
-            ttl: self.config.boot_ttl,
+            ttl: BOOT_TTL,
             failover: true,
         };
         self.fo_pending.insert(request, boot);
@@ -2503,19 +2597,9 @@ impl ScribeClient for Controller {
                 self.trade_courier.ack(id.0);
                 if !accepted {
                     // The borrower refused, so it never recorded a half:
-                    // reclaiming the debit is safe here (unlike GiveUp) —
-                    // and so is reversing the revenue of a priced lease,
-                    // since a refusing borrower booked no spend.
-                    let dropped = self.drop_lease_half(id);
-                    self.trade.stats.grants_rejected.inc();
-                    if dropped.is_some_and(|h| h.lease.is_priced()) {
-                        if self.billing.reverse(id.0).is_some() {
-                            self.market_stats.billing_reversals.inc();
-                        }
-                        // If this was a renewal replacement, let the old
-                        // lease be re-quoted again later.
-                        self.renewal_quoted.retain(|_, &mut newer| newer != id.0);
-                    }
+                    // reclaiming the debit is safe here (unlike GiveUp).
+                    let priced = self.trade.get(id).is_some_and(|h| h.lease.is_priced());
+                    self.reclaim_grant(id, priced);
                 }
             }
             CtrlMsg::LeaseRenew { id } => {
@@ -2654,7 +2738,7 @@ impl ScribeClient for Controller {
         self.holds.push(Hold {
             query: q.query,
             vm: q.vm,
-            expires: ctx.now() + self.config.hold_timeout,
+            expires: ctx.now() + HOLD_TIMEOUT,
         });
         self.stats.accepts_sent += 1;
         let me = ctx.self_handle();
@@ -2671,7 +2755,7 @@ impl ScribeClient for Controller {
 
     fn anycast_failed(
         &mut self,
-        _ctx: &mut ScribeCtx<'_, '_, '_, '_, CtrlMsg>,
+        ctx: &mut ScribeCtx<'_, '_, '_, '_, CtrlMsg>,
         _group: GroupId,
         msg: CtrlMsg,
     ) {
@@ -2680,8 +2764,10 @@ impl ScribeClient for Controller {
             self.pending_sheds.remove(&q.query);
             // No receiver could take this VM right now: back off on it so
             // the next rounds offer other (smaller) VMs instead.
-            self.shed_cooldown
-                .insert(q.vm.id, _ctx.now() + self.config.rebalance_interval * 2);
+            self.cooldowns.insert(
+                (Cooldown::Shed, q.vm.id),
+                ctx.now() + self.config.rebalance_interval * 2,
+            );
         }
     }
 
@@ -2723,17 +2809,7 @@ impl ScribeClient for Controller {
             // The borrower's host is gone before the grant even arrived:
             // nobody recorded credit, so the lender reclaims its debit —
             // and the revenue of a priced lease, since nobody paid.
-            CtrlMsg::BorrowGrant { lease } => {
-                self.drop_lease_half(lease.id);
-                self.trade.stats.grants_rejected.inc();
-                if lease.is_priced() {
-                    if self.billing.reverse(lease.id.0).is_some() {
-                        self.market_stats.billing_reversals.inc();
-                    }
-                    self.renewal_quoted
-                        .retain(|_, &mut newer| newer != lease.id.0);
-                }
-            }
+            CtrlMsg::BorrowGrant { lease } => self.reclaim_grant(lease.id, lease.is_priced()),
             // The renewal bounced: the lender's host is dead, so the
             // borrowed credit has no backing debit. Drop it now rather
             // than ride it to expiry.

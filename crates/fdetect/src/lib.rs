@@ -7,7 +7,7 @@
 //! rollbacks. This crate replaces them with:
 //!
 //! - [`FailureDetector`] — a **phi-accrual** detector (per-peer
-//!   inter-arrival window, configurable suspicion threshold) with
+//!   inter-arrival window, fixed suspicion threshold) with
 //!   SWIM-style suspicion: a peer crossing the threshold becomes
 //!   *suspect* and gets a confirmation grace during which intermediaries
 //!   are asked to ping it, so a lossy direct link alone cannot evict a
@@ -35,7 +35,7 @@ pub mod probe;
 pub use courier::{backoff_rounds, Courier, CourierConfig, RetryDecision};
 pub use dedup::DedupWindow;
 pub use domain::DomainSuspicion;
-pub use phi::{ArrivalWindow, FailureDetector, PhiConfig, Verdict};
+pub use phi::{ArrivalWindow, FailureDetector, PhiConfig, Verdict, FIRST_INTERVAL, PHI_THRESHOLD};
 pub use probe::Probe;
 
 /// How a protocol layer decides that a peer is dead.

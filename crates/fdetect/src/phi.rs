@@ -24,83 +24,64 @@ use std::collections::{BTreeMap, VecDeque};
 
 use vbundle_sim::{SimDuration, SimTime};
 
+/// Inter-arrival samples kept per peer (16): enough for a stable fit,
+/// short enough to track a link whose cadence changes.
+const WINDOW: usize = 16;
+/// Suspicion level at which a peer becomes suspect (8): a false-positive
+/// probability of 1e-8 under the fitted model.
+pub const PHI_THRESHOLD: f64 = 8.0;
+/// Floor on the fitted standard deviation (200 ms): very regular arrival
+/// streams (a deterministic simulator is the extreme case) would
+/// otherwise make the detector hair-triggered.
+const MIN_STD_DEV: SimDuration = SimDuration::from_millis(200);
+/// Expected inter-arrival time before any sample has been observed (1 s);
+/// per-peer bootstrap estimates (e.g. probe interval + RTT) override it
+/// via [`FailureDetector::observe_with_estimate`].
+pub const FIRST_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Slack the detector adds to the fitted mean before phi starts to climb
+/// (none): the suspect grace, not a pause, absorbs one-off gaps.
+const ACCEPTABLE_PAUSE: SimDuration = SimDuration::ZERO;
+
 /// Tunables of the phi-accrual detector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhiConfig {
-    /// Inter-arrival samples kept per peer.
-    pub window: usize,
-    /// Suspicion level at which a peer becomes suspect. Phi 8 corresponds
-    /// to a false-positive probability of 1e-8 under the fitted model.
-    pub threshold: f64,
-    /// Floor on the fitted standard deviation: very regular arrival
-    /// streams (a deterministic simulator is the extreme case) would
-    /// otherwise make the detector hair-triggered.
-    pub min_std_dev: SimDuration,
-    /// Expected inter-arrival time before any sample has been observed;
-    /// per-peer bootstrap estimates (e.g. probe interval + RTT) override
-    /// this via [`FailureDetector::observe_with_estimate`].
-    pub first_interval: SimDuration,
-    /// Slack added to the fitted mean — tolerated silence beyond the
-    /// expected cadence before phi starts to climb.
-    pub acceptable_pause: SimDuration,
     /// How long a suspect may redeem itself (e.g. through an indirect
     /// probe relayed by an intermediary) before it is declared dead.
     pub confirm_timeout: SimDuration,
-    /// Intermediaries asked to ping a newly suspected peer (SWIM's `k`).
-    pub indirect_probes: usize,
 }
 
 impl Default for PhiConfig {
     fn default() -> Self {
         PhiConfig {
-            window: 16,
-            threshold: 8.0,
-            min_std_dev: SimDuration::from_millis(200),
-            first_interval: SimDuration::from_secs(1),
-            acceptable_pause: SimDuration::ZERO,
             confirm_timeout: SimDuration::from_secs(3),
-            indirect_probes: 3,
         }
     }
 }
 
 impl PhiConfig {
-    /// Sets the suspicion threshold.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
     /// Sets the confirmation grace a suspect gets before eviction.
     pub fn with_confirm_timeout(mut self, timeout: SimDuration) -> Self {
         self.confirm_timeout = timeout;
         self
     }
-
-    /// Sets the indirect-probe fan-out.
-    pub fn with_indirect_probes(mut self, k: usize) -> Self {
-        self.indirect_probes = k;
-        self
-    }
 }
 
-/// A bounded window of inter-arrival times for one peer.
+/// A bounded window of the last 16 inter-arrival times for one
+/// peer.
 #[derive(Debug, Clone)]
 pub struct ArrivalWindow {
     intervals: VecDeque<u64>, // micros
     last: Option<SimTime>,
-    cap: usize,
     first_estimate: u64, // micros
 }
 
 impl ArrivalWindow {
     /// An empty window that will treat `first_estimate` as the expected
     /// cadence until real samples arrive.
-    pub fn new(cap: usize, first_estimate: SimDuration) -> Self {
+    pub fn new(first_estimate: SimDuration) -> Self {
         ArrivalWindow {
-            intervals: VecDeque::with_capacity(cap.max(1)),
+            intervals: VecDeque::with_capacity(WINDOW),
             last: None,
-            cap: cap.max(1),
             first_estimate: first_estimate.as_micros().max(1),
         }
     }
@@ -117,7 +98,7 @@ impl ArrivalWindow {
     /// Records a proof-of-life arrival.
     pub fn record(&mut self, now: SimTime) {
         if let Some(last) = self.last {
-            if self.intervals.len() == self.cap {
+            if self.intervals.len() == WINDOW {
                 self.intervals.pop_front();
             }
             self.intervals
@@ -165,14 +146,15 @@ impl ArrivalWindow {
 
     /// The suspicion level at `now`: `-log10(P(arrival later than now))`
     /// under a normal fit of the window (logistic approximation to the
-    /// normal CDF, as in the Akka/Cassandra implementations).
-    pub fn phi(&self, now: SimTime, min_std: SimDuration, pause: SimDuration) -> f64 {
+    /// normal CDF, as in the Akka/Cassandra implementations), with `pause`
+    /// of tolerated silence added to the fitted mean.
+    pub fn phi(&self, now: SimTime, pause: SimDuration) -> f64 {
         let Some(last) = self.last else {
             return 0.0;
         };
         let elapsed = now.saturating_since(last).as_micros() as f64;
         let mean = self.mean_micros() + pause.as_micros() as f64;
-        let std = self.std_micros(min_std.as_micros().max(1) as f64);
+        let std = self.std_micros(MIN_STD_DEV.as_micros() as f64);
         let y = (elapsed - mean) / std;
         let e = (-y * (1.5976 + 0.070566 * y * y)).exp();
         let p_later = if elapsed > mean {
@@ -190,7 +172,7 @@ pub enum Verdict {
     /// Suspicion below threshold; keep probing normally.
     Alive,
     /// Phi crossed the threshold just now: the caller should launch
-    /// indirect probes through `indirect_probes` intermediaries.
+    /// indirect probes through a few intermediaries.
     NewlySuspect,
     /// Already suspect, confirmation grace still running.
     Suspect,
@@ -224,26 +206,19 @@ impl<K: Ord + Copy> FailureDetector<K> {
         }
     }
 
-    /// The tunables in effect.
-    pub fn config(&self) -> &PhiConfig {
-        &self.config
-    }
-
     fn entry(&mut self, key: K, now: SimTime, estimate: SimDuration) -> &mut PeerState {
-        let window = self.config.window;
         let st = self.peers.entry(key).or_insert_with(|| PeerState {
-            window: ArrivalWindow::new(window, estimate),
+            window: ArrivalWindow::new(estimate),
             suspect_since: None,
         });
         st.window.observe(now);
         st
     }
 
-    /// Starts tracking `key` (idempotent), with the config's default
-    /// cadence estimate.
+    /// Starts tracking `key` (idempotent), with the default
+    /// [`FIRST_INTERVAL`] cadence estimate.
     pub fn observe(&mut self, key: K, now: SimTime) {
-        let estimate = self.config.first_interval;
-        self.entry(key, now, estimate);
+        self.entry(key, now, FIRST_INTERVAL);
     }
 
     /// Starts tracking `key` with an explicit cadence estimate — e.g.
@@ -254,8 +229,7 @@ impl<K: Ord + Copy> FailureDetector<K> {
 
     /// Records a proof of life for `key` and clears any suspicion.
     pub fn heartbeat(&mut self, key: K, now: SimTime) {
-        let estimate = self.config.first_interval;
-        let st = self.entry(key, now, estimate);
+        let st = self.entry(key, now, FIRST_INTERVAL);
         st.window.record(now);
         st.suspect_since = None;
     }
@@ -264,10 +238,7 @@ impl<K: Ord + Copy> FailureDetector<K> {
     pub fn phi(&self, key: &K, now: SimTime) -> f64 {
         self.peers
             .get(key)
-            .map(|st| {
-                st.window
-                    .phi(now, self.config.min_std_dev, self.config.acceptable_pause)
-            })
+            .map(|st| st.window.phi(now, ACCEPTABLE_PAUSE))
             .unwrap_or(0.0)
     }
 
@@ -280,13 +251,9 @@ impl<K: Ord + Copy> FailureDetector<K> {
 
     /// Classifies `key` at `now`, advancing the suspicion state machine.
     pub fn evaluate(&mut self, key: K, now: SimTime) -> Verdict {
-        let threshold = self.config.threshold;
         let confirm = self.config.confirm_timeout;
-        let min_std = self.config.min_std_dev;
-        let pause = self.config.acceptable_pause;
-        let estimate = self.config.first_interval;
-        let st = self.entry(key, now, estimate);
-        if st.window.phi(now, min_std, pause) < threshold {
+        let st = self.entry(key, now, FIRST_INTERVAL);
+        if st.window.phi(now, ACCEPTABLE_PAUSE) < PHI_THRESHOLD {
             st.suspect_since = None;
             return Verdict::Alive;
         }
@@ -332,15 +299,14 @@ mod tests {
 
     #[test]
     fn phi_grows_with_silence() {
-        let mut w = ArrivalWindow::new(8, SimDuration::from_secs(1));
+        let mut w = ArrivalWindow::new(SimDuration::from_secs(1));
         for s in 0..8 {
             w.record(t(s));
         }
-        let min = SimDuration::from_millis(200);
-        let p1 = w.phi(t(9), min, SimDuration::ZERO);
-        let p2 = w.phi(t(12), min, SimDuration::ZERO);
+        let p1 = w.phi(t(9), SimDuration::ZERO);
+        let p2 = w.phi(t(12), SimDuration::ZERO);
         assert!(p1 < p2, "phi must be monotone in silence: {p1} vs {p2}");
-        assert!(w.phi(t(8), min, SimDuration::ZERO) < 1.0);
+        assert!(w.phi(t(8), SimDuration::ZERO) < 1.0);
         assert!(p2 > 8.0, "5 s of silence on a 1 s cadence is damning: {p2}");
     }
 
@@ -349,12 +315,11 @@ mod tests {
         // Same total silence, but the window has seen multi-second gaps
         // before (a lossy link): phi stays low where the regular stream
         // above would have evicted.
-        let mut w = ArrivalWindow::new(8, SimDuration::from_secs(1));
+        let mut w = ArrivalWindow::new(SimDuration::from_secs(1));
         for &s in &[0u64, 1, 4, 5, 8, 9, 12, 13] {
             w.record(t(s));
         }
-        let min = SimDuration::from_millis(200);
-        assert!(w.phi(t(16), min, SimDuration::ZERO) < 8.0);
+        assert!(w.phi(t(16), SimDuration::ZERO) < 8.0);
     }
 
     #[test]

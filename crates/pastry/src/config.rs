@@ -1,34 +1,27 @@
 //! Tunables of the Pastry overlay.
 
-use vbundle_fdetect::{FailureDetection, PhiConfig};
+use vbundle_fdetect::FailureDetection;
 use vbundle_sim::SimDuration;
 
 /// Configuration of a Pastry node.
 ///
 /// Defaults follow the Pastry paper's common deployment (`b = 4`,
-/// `L = 16`, `|M| = 16`), which is also what FreePastry — the paper's
-/// implementation substrate — ships with.
+/// `L = 16`), which is also what FreePastry — the paper's implementation
+/// substrate — ships with. The neighbor-set size `|M| = 16`, the routing
+/// hop guard and the fixed-interval miss count are constants.
 #[derive(Debug, Clone)]
 pub struct PastryConfig {
     /// Leaf-set entries per side (`L/2`).
     pub leaf_half: usize,
-    /// Capacity of the physically-closest neighbor set (`|M|`).
-    pub neighbor_capacity: usize,
-    /// Routing loop guard: a message that exceeds this hop count is
-    /// delivered at the current node instead of being forwarded.
-    pub max_hops: u32,
     /// If set, nodes probe their leaf set at this interval and evict peers
-    /// that miss [`failure_multiplier`](Self::failure_multiplier)
-    /// consecutive probes. `None` disables active failure detection
-    /// (bounced sends still trigger eviction).
+    /// that [`failure_detection`](Self::failure_detection) declares dead.
+    /// `None` disables active failure detection (bounced sends still
+    /// trigger eviction).
     pub heartbeat: Option<SimDuration>,
-    /// How many heartbeat intervals of silence mark a peer dead — only
-    /// consulted in [`FailureDetection::FixedInterval`] mode.
-    pub failure_multiplier: u32,
     /// How leaf-set liveness is decided. The default, phi-accrual with
     /// SWIM-style indirect probing, tolerates lossy and slow links;
     /// [`FailureDetection::FixedInterval`] restores the legacy
-    /// `failure_multiplier × heartbeat` deadline (ablation baseline).
+    /// three-missed-heartbeats deadline (ablation baseline).
     pub failure_detection: FailureDetection,
     /// If set, nodes periodically exchange routing-table rows with a
     /// random known peer — Pastry's routing-table maintenance, which
@@ -41,10 +34,7 @@ impl Default for PastryConfig {
     fn default() -> Self {
         PastryConfig {
             leaf_half: 8,
-            neighbor_capacity: 16,
-            max_hops: 64,
             heartbeat: None,
-            failure_multiplier: 3,
             failure_detection: FailureDetection::default(),
             maintenance: None,
         }
@@ -61,20 +51,6 @@ impl PastryConfig {
     /// Enables periodic routing-table maintenance at `interval`.
     pub fn with_maintenance(mut self, interval: SimDuration) -> Self {
         self.maintenance = Some(interval);
-        self
-    }
-
-    /// Selects the legacy fixed-interval failure detector (the
-    /// `failure_multiplier × heartbeat` deadline) — the ablation baseline
-    /// for the adaptive default.
-    pub fn with_fixed_detection(mut self) -> Self {
-        self.failure_detection = FailureDetection::FixedInterval;
-        self
-    }
-
-    /// Selects phi-accrual detection with explicit tunables.
-    pub fn with_phi_detection(mut self, phi: PhiConfig) -> Self {
-        self.failure_detection = FailureDetection::PhiAccrual(phi);
         self
     }
 
@@ -98,7 +74,6 @@ mod tests {
     fn defaults_match_pastry_paper() {
         let c = PastryConfig::default();
         assert_eq!(c.leaf_half * 2, 16);
-        assert_eq!(c.neighbor_capacity, 16);
         assert!(c.heartbeat.is_none());
     }
 

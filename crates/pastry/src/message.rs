@@ -12,8 +12,8 @@ pub struct RouteEnvelope<M> {
     pub key: Key,
     /// The application payload.
     pub payload: M,
-    /// Hops taken so far (loop guard; see
-    /// [`PastryConfig::max_hops`](crate::PastryConfig::max_hops)).
+    /// Hops taken so far (loop guard: past 64 hops the message is
+    /// delivered where it is).
     pub hops: u32,
     /// The node that first injected the message.
     pub origin: NodeHandle,

@@ -27,6 +27,17 @@ const RESURRECTION_PROBES: u32 = 10;
 const RESURRECTION_BACKOFF_EXP: u32 = 1;
 /// Upper bound on remembered departed nodes (oldest evicted first).
 const GRAVEYARD_CAP: usize = 32;
+/// Routing loop guard (64 hops): a message past it is delivered where it
+/// is. Prefix routing needs about `log16 N` hops, so only a corrupt
+/// routing state ever reaches it.
+const MAX_HOPS: u32 = 64;
+/// Heartbeat rounds of silence after which the fixed-interval detector
+/// declares a leaf-set peer dead (3): the legacy deadline kept as the
+/// ablation baseline.
+const FAILURE_MULTIPLIER: u32 = 3;
+/// Intermediaries asked to ping a newly suspected leaf-set peer (SWIM's
+/// `k` = 3): one lossy relay path cannot then evict a live peer.
+const INDIRECT_PROBES: usize = 3;
 
 /// An application layered over a Pastry node (for v-Bundle: Scribe).
 ///
@@ -336,7 +347,7 @@ impl<A: PastryApp> PastryNode<A> {
     ) {
         env.hops += 1;
         self.learn_firsthand(env.origin);
-        let decision = if env.hops > self.config.max_hops {
+        let decision = if env.hops > MAX_HOPS {
             RouteDecision::DeliverHere
         } else {
             self.state.route_decision(env.key)
@@ -370,7 +381,7 @@ impl<A: PastryApp> PastryNode<A> {
         hops: u32,
     ) {
         // Decide before learning the newcomer, or we would route to it.
-        let decision = if hops >= self.config.max_hops {
+        let decision = if hops >= MAX_HOPS {
             RouteDecision::DeliverHere
         } else {
             self.state.route_decision(newcomer.id)
@@ -545,11 +556,10 @@ impl<A: PastryApp> PastryNode<A> {
                         // Ask the k leaf peers numerically closest to the
                         // suspect to ping it on our behalf: their paths may
                         // be up even if ours is lossy.
-                        let k = detector.config().indirect_probes;
                         let mut relays: Vec<&NodeHandle> =
                             members.iter().filter(|h| h.id != member.id).collect();
                         relays.sort_by_key(|h| h.id.ring_distance(member.id));
-                        for relay in relays.into_iter().take(k) {
+                        for relay in relays.into_iter().take(INDIRECT_PROBES) {
                             ctx.send(
                                 relay.actor,
                                 PastryMsg::PingReq {
@@ -567,8 +577,8 @@ impl<A: PastryApp> PastryNode<A> {
             detector.retain(|key| members.iter().any(|h| h.id.as_u128() == *key));
         } else {
             // Legacy fixed-interval mode: a peer silent for
-            // `failure_multiplier` rounds is declared dead outright.
-            let deadline = interval * self.config.failure_multiplier as u64;
+            // `FAILURE_MULTIPLIER` rounds is declared dead outright.
+            let deadline = interval * FAILURE_MULTIPLIER as u64;
             for member in &members {
                 let seen = *self.last_ack.entry(member.id.as_u128()).or_insert(now);
                 if now.saturating_since(seen) > deadline {

@@ -126,12 +126,7 @@ pub fn build_states(
     handles
         .iter()
         .map(|&me| {
-            let mut st = PastryState::new(
-                me,
-                Arc::clone(topo),
-                config.leaf_half,
-                config.neighbor_capacity,
-            );
+            let mut st = PastryState::new(me, Arc::clone(topo), config.leaf_half);
             let pos = by_id
                 .binary_search_by_key(&me.id, |h| h.id)
                 .expect("own handle present");

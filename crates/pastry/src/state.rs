@@ -9,6 +9,10 @@ use vbundle_sim::ActorId;
 use crate::id::{DIGIT_BASE, NUM_DIGITS};
 use crate::{Key, NodeHandle, NodeId};
 
+/// Capacity of each node's physically-closest neighbor set (`|M|` = 16,
+/// the Pastry paper's and FreePastry's deployment value).
+const NEIGHBOR_CAPACITY: usize = 16;
+
 /// The leaf set: the `L/2` numerically closest nodes clockwise and
 /// counter-clockwise of the local node. It completes the last routing hop
 /// and anchors repair after failures.
@@ -366,17 +370,12 @@ pub struct PastryState {
 
 impl PastryState {
     /// Creates empty state for a node.
-    pub fn new(
-        handle: NodeHandle,
-        topology: Arc<Topology>,
-        leaf_half: usize,
-        neighbor_capacity: usize,
-    ) -> Self {
+    pub fn new(handle: NodeHandle, topology: Arc<Topology>, leaf_half: usize) -> Self {
         PastryState {
             handle,
             leaf_set: LeafSet::new(handle.id, leaf_half),
             routing_table: RoutingTable::new(handle.id),
-            neighbor_set: NeighborSet::new(handle.id, neighbor_capacity),
+            neighbor_set: NeighborSet::new(handle.id, NEIGHBOR_CAPACITY),
             topology,
         }
     }
@@ -695,7 +694,7 @@ mod tests {
             self_v: u128,
             others: &[(u128, u32)],
         ) -> PastryState {
-            let mut st = PastryState::new(h(self_v, 0), topology, 2, 4);
+            let mut st = PastryState::new(h(self_v, 0), topology, 2);
             for &(v, a) in others {
                 st.learn(h(v, a));
             }
@@ -753,7 +752,7 @@ mod tests {
                 (self_v - 1, 3),
                 (self_v - 2, 4),
             ];
-            let mut st = PastryState::new(h(self_v, 0), topo, 2, 4);
+            let mut st = PastryState::new(h(self_v, 0), topo, 2);
             for (v, a) in near {
                 st.learn(h(v, a));
             }
@@ -767,7 +766,7 @@ mod tests {
         fn rare_case_moves_numerically_closer() {
             let topo = topo4();
             let self_v = 0x8000_0000_0000_0000_0000_0000_0000_0000u128;
-            let mut st = PastryState::new(h(self_v, 0), topo, 1, 4);
+            let mut st = PastryState::new(h(self_v, 0), topo, 1);
             // Fill leaf set with immediate neighbors so coverage is tight.
             st.learn(h(self_v + 1, 1));
             st.learn(h(self_v - 1, 2));

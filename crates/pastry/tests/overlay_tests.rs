@@ -107,12 +107,8 @@ fn join_protocol_integrates_newcomer() {
         ));
     }
     let newcomer = handles[16];
-    let newcomer_state = vbundle_pastry::PastryState::new(
-        newcomer,
-        Arc::clone(&topo),
-        config.leaf_half,
-        config.neighbor_capacity,
-    );
+    let newcomer_state =
+        vbundle_pastry::PastryState::new(newcomer, Arc::clone(&topo), config.leaf_half);
     // Bootstrap through a physically nearby node (same rack: server 12-15
     // shares rack 4 with 16; use server 0 to show any bootstrap works).
     engine.add_actor(PastryNode::joining(
@@ -343,12 +339,8 @@ fn maintenance_repopulates_routing_tables() {
     let mut by_id = handles.clone();
     by_id.sort_by_key(|h| h.id);
     for &me in &handles {
-        let mut st = vbundle_pastry::PastryState::new(
-            me,
-            std::sync::Arc::clone(&topo),
-            config.leaf_half,
-            config.neighbor_capacity,
-        );
+        let mut st =
+            vbundle_pastry::PastryState::new(me, std::sync::Arc::clone(&topo), config.leaf_half);
         let pos = by_id.binary_search_by_key(&me.id, |h| h.id).unwrap();
         for step in 1..=2usize {
             st.learn(by_id[(pos + step) % 32]);
@@ -417,12 +409,8 @@ fn overlay_survives_interleaved_churn() {
         for j in 0..2 {
             let idx = 8 + wave * 2 + j;
             let newcomer = handles[idx];
-            let st = vbundle_pastry::PastryState::new(
-                newcomer,
-                Arc::clone(&topo),
-                config.leaf_half,
-                config.neighbor_capacity,
-            );
+            let st =
+                vbundle_pastry::PastryState::new(newcomer, Arc::clone(&topo), config.leaf_half);
             let bootstrap = (0..idx).find(|i| !dead.contains(i)).expect("someone alive");
             let id = engine.add_actor(PastryNode::joining(
                 st,

@@ -25,13 +25,15 @@ pub const SCRIBE_TAG_BASE: u64 = 1 << 62;
 
 const PROBE_TAG: u64 = SCRIBE_TAG_BASE + 1;
 
+/// Tree-depth guard for multicast dissemination (64 levels): Scribe trees
+/// are about `log16 N` deep, so only a forwarding loop ever reaches it.
+const DISSEMINATE_TTL: u32 = 64;
+
 /// Tunables of the Scribe layer.
 #[derive(Debug, Clone)]
 pub struct ScribeConfig {
     /// Anycast DFS step budget before the search reports failure.
     pub anycast_ttl: u32,
-    /// Tree-depth guard for multicast dissemination.
-    pub disseminate_ttl: u32,
     /// If set, every in-tree node probes its parent at this interval; a
     /// bounce (dead parent) or a nack (parent pruned its state) triggers a
     /// re-join. This is Scribe's tree-repair mechanism driven from the
@@ -50,7 +52,6 @@ impl Default for ScribeConfig {
     fn default() -> Self {
         ScribeConfig {
             anycast_ttl: 4096,
-            disseminate_ttl: 64,
             probe_interval: None,
             child_detection: FailureDetection::default(),
         }
@@ -61,13 +62,6 @@ impl ScribeConfig {
     /// Enables child→parent tree probing at `interval`.
     pub fn with_probe_interval(mut self, interval: SimDuration) -> Self {
         self.probe_interval = Some(interval);
-        self
-    }
-
-    /// Selects the legacy fixed-interval child-link expiry (three silent
-    /// probe rounds) — the ablation baseline for the adaptive default.
-    pub fn with_fixed_child_detection(mut self) -> Self {
-        self.child_detection = FailureDetection::FixedInterval;
         self
     }
 }
@@ -615,8 +609,7 @@ impl<C: ScribeClient> Scribe<C> {
             st.next_seq += 1;
             seq
         };
-        let ttl = self.config.disseminate_ttl;
-        self.handle_disseminate(pastry, g, msg, ttl, seq, me);
+        self.handle_disseminate(pastry, g, msg, DISSEMINATE_TTL, seq, me);
     }
 
     fn apply_anycast(
