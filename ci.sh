@@ -58,6 +58,21 @@ echo "==> perfbench churn smoke (seed 1)"
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload churn --seed 1 --seconds 1 --trace 0 > /dev/null
 
+# Full-stack byte identity: the benchmark workloads' seed-1 outcome
+# digests are pinned, so a behaviour change anywhere in the stack fails
+# here, not only where a sweep golden happens to look.
+for pin in rebalance:b75d0622a2800453 boot_storm:2ecc510a84c914f8; do
+    workload="${pin%%:*}"
+    want="digest ${workload} seed 1 ${pin#*:}"
+    echo "==> perfbench ${workload} digest pin (seed 1)"
+    got="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+        --workload "${workload}" --seed 1 --seconds 1 --trace 0 | grep '^digest ')"
+    if [ "${got}" != "${want}" ]; then
+        echo "digest drift: got '${got}', want '${want}'" >&2
+        exit 1
+    fi
+done
+
 echo "==> golden files unchanged"
 if ! git diff --quiet -- results/*.golden BENCH_surv.json BENCH_market.json; then
     git --no-pager diff -- results/*.golden BENCH_surv.json BENCH_market.json

@@ -76,7 +76,7 @@ fn bench_placement(c: &mut Criterion) {
 fn bench_overlay_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/build_overlay_states");
     group.sample_size(10);
-    for &n in &[256usize, 1024] {
+    for &n in &[256usize, 1024, 4096, 16384] {
         let racks = (n / 16) as u32;
         let topo = Arc::new(
             Topology::builder()

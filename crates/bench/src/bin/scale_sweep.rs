@@ -5,12 +5,12 @@
 //! defend.
 //!
 //! The workload is engine-core synthetic — a gossip tick on every actor
-//! fanning messages to uniformly random peers — because the full
-//! v-Bundle stack bootstraps its overlay in O(n²)
-//! (`overlay::build_states`) and would measure setup, not the event
-//! loop. Uniform fanout is deliberately the *worst case* for the memory
-//! hierarchy: no destination locality for the cache to exploit, so the
-//! sweep bounds the engine's scaling from below. Every size point runs
+//! fanning messages to uniformly random peers — so it measures the event
+//! loop alone, not protocol handlers; the full stack, overlay bootstrap
+//! included, is measured by `perfbench`. Uniform fanout is deliberately
+//! the *worst case* for the memory hierarchy: no destination locality
+//! for the cache to exploit, so the sweep bounds the engine's scaling
+//! from below. Every size point runs
 //! the same total event count (`TARGET_EVENTS`), so the 1k point
 //! measures a comparable wall-time window instead of a few noisy
 //! milliseconds. The sweep exercises all

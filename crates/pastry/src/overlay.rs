@@ -7,13 +7,15 @@
 //! [`topology_aware_ids`] implements that policy; [`random_ids`] provides
 //! the conventional uniformly random assignment for ablation comparisons.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use vbundle_dcn::Topology;
+use vbundle_dcn::{ProximityLevel, ServerId, Topology};
 use vbundle_sim::{ActorId, Engine, LatencyModel, SimDuration};
 
+use crate::id::{DIGIT_BASE, NUM_DIGITS};
 use crate::message::PastryMsg;
 use crate::node::{PastryApp, PastryNode};
 use crate::state::PastryState;
@@ -76,9 +78,10 @@ pub fn topology_aware_ids(topo: &Topology) -> Vec<NodeId> {
 pub fn random_ids(n: usize, seed: u64) -> Vec<NodeId> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ids = Vec::with_capacity(n);
+    let mut seen = HashSet::with_capacity(n);
     while ids.len() < n {
         let id = NodeId::from_u128(rng.gen());
-        if !ids.contains(&id) {
+        if seen.insert(id) {
             ids.push(id);
         }
     }
@@ -106,6 +109,15 @@ pub fn handles_for(ids: &[NodeId]) -> Vec<NodeHandle> {
 /// with the leaf set, routing table and neighbor set it would converge to
 /// after joining.
 ///
+/// Each node's state is exactly what [`PastryState::learn`]ing its ring
+/// neighbors (`cw1, ccw1, cw2, ccw2, …`) and then every other node in
+/// ascending id order produces. After the ring neighbors only a few nodes
+/// can still change the state, so only those are replayed, in the same
+/// order: every node left out is a no-op, or a routing-table entry that a
+/// replayed node replaces anyway. With topology-aware ids and the default
+/// leaf set a node replays tens of nodes, not `n` (see DESIGN.md, "Bulk
+/// bootstrap").
+///
 /// # Panics
 ///
 /// Panics if `handles` is empty or contains duplicate ids.
@@ -115,14 +127,14 @@ pub fn build_states(
     config: &PastryConfig,
 ) -> Vec<PastryState> {
     assert!(!handles.is_empty(), "overlay needs at least one node");
-    // Sort once by id so each node learns ring neighbors first (cheap leaf
-    // sets) and the rest for routing tables / neighbor sets.
     let mut by_id: Vec<NodeHandle> = handles.to_vec();
     by_id.sort_by_key(|h| h.id);
     for w in by_id.windows(2) {
         assert!(w[0].id != w[1].id, "duplicate node id {:?}", w[0].id);
     }
     let n = by_id.len();
+    let tiers = proximity_tiers(topo, &by_id);
+    let mut replay = Vec::new();
     handles
         .iter()
         .map(|&me| {
@@ -131,19 +143,157 @@ pub fn build_states(
                 .binary_search_by_key(&me.id, |h| h.id)
                 .expect("own handle present");
             // Ring neighbors: leaf_half on each side (wrapping).
-            for step in 1..=config.leaf_half.min(n.saturating_sub(1)) {
+            for step in 1..=config.leaf_half.min(n - 1) {
                 st.learn(by_id[(pos + step) % n]);
                 st.learn(by_id[(pos + n - step) % n]);
             }
-            // Everyone else fills routing table + neighbor set slots.
-            for &other in &by_id {
-                if other.id != me.id {
-                    st.learn(other);
-                }
+            // `(bound, group)`: the positions within proximity `bound` of
+            // this node, for ascending bounds; the last group is everyone.
+            let near = tiers.each_ref().map(|t| (t.bound, t.group(pos)));
+            replay.clear();
+            neighbor_candidates(&st, &by_id, pos, &near, &mut replay);
+            routing_candidates(&by_id, pos, &near, &mut replay);
+            replay.sort_unstable();
+            replay.dedup();
+            for &other in &replay {
+                st.learn(by_id[other]);
             }
             st
         })
         .collect()
+}
+
+/// The nodes grouped by how close they sit to each other: one tier per
+/// [`ProximityLevel`] (same server, rack, pod, topology) plus a last tier
+/// holding every node, actors outside the topology included. Every
+/// proximity is one of the tier bounds, so within any set of nodes the
+/// physically closest are the members of the first tier's group that
+/// has any.
+struct ProximityTier {
+    /// Members of a node's group are exactly the nodes within this
+    /// proximity of it.
+    bound: u32,
+    /// Group of each `by_id` position; `None` for actors outside the
+    /// topology, which are within no finite bound of anyone.
+    group_of: Vec<Option<usize>>,
+    /// Each group's positions, ascending.
+    members: Vec<Vec<usize>>,
+}
+
+impl ProximityTier {
+    fn new(bound: u32, groups: usize, group_of: Vec<Option<usize>>) -> Self {
+        let mut members = vec![Vec::new(); groups];
+        for (pos, &g) in group_of.iter().enumerate() {
+            if let Some(g) = g {
+                members[g].push(pos);
+            }
+        }
+        ProximityTier {
+            bound,
+            group_of,
+            members,
+        }
+    }
+
+    /// The positions in the same group as `pos`, ascending.
+    fn group(&self, pos: usize) -> &[usize] {
+        self.group_of[pos].map_or(&[], |g| &self.members[g])
+    }
+}
+
+fn proximity_tiers(topo: &Topology, by_id: &[NodeHandle]) -> [ProximityTier; 5] {
+    let servers: Vec<Option<ServerId>> = by_id
+        .iter()
+        .map(|h| (h.actor.index() < topo.num_servers()).then(|| topo.server(h.actor.index())))
+        .collect();
+    let tier = |level: ProximityLevel, groups: usize, key: fn(&Topology, ServerId) -> usize| {
+        let group_of = servers.iter().map(|s| s.map(|s| key(topo, s))).collect();
+        ProximityTier::new(level as u32, groups, group_of)
+    };
+    [
+        tier(ProximityLevel::SameServer, topo.num_servers(), |_, s| {
+            s.index()
+        }),
+        tier(ProximityLevel::SameRack, topo.num_racks(), |t, s| {
+            t.rack_of(s).index()
+        }),
+        tier(ProximityLevel::SamePod, topo.num_pods(), |t, s| {
+            t.pod_of(s).index()
+        }),
+        tier(ProximityLevel::CrossPod, 1, |_, _| 0),
+        ProximityTier::new(u32::MAX, 1, vec![Some(0); by_id.len()]),
+    ]
+}
+
+/// Pushes every node that could still enter `st`'s neighbor set: one
+/// whose `(proximity, ring distance)` is at most the current worst
+/// member's. The worst only shrinks, so these are the nodes physically
+/// closer than the worst plus the id arc within its ring distance. While
+/// the set has room the bound is infinite and that arc is the whole ring.
+fn neighbor_candidates(
+    st: &PastryState,
+    by_id: &[NodeHandle],
+    pos: usize,
+    near: &[(u32, &[usize])],
+    out: &mut Vec<usize>,
+) {
+    let (p_max, d_max) = st
+        .neighbor_set()
+        .admission_bound()
+        .unwrap_or((u32::MAX, u128::MAX));
+    if let Some(&(_, closer)) = near.iter().rev().find(|(bound, _)| *bound < p_max) {
+        out.extend_from_slice(closer);
+    }
+    let n = by_id.len();
+    let me = by_id[pos].id;
+    let cw = (1..n)
+        .take_while(|step| me.cw_distance(by_id[(pos + step) % n].id) <= d_max)
+        .count();
+    let ccw = (1..n - cw)
+        .take_while(|step| by_id[(pos + n - step) % n].id.cw_distance(me) <= d_max)
+        .count();
+    out.extend((1..=cw).map(|step| (pos + step) % n));
+    out.extend((1..=ccw).map(|step| (pos + n - step) % n));
+}
+
+/// Pushes the final winner of every routing-table slot of the node at
+/// `pos`. Slot `(row, col)` holds the first node in learn order among
+/// those at the smallest proximity; its candidates are the contiguous
+/// `by_id` range sharing this node's first `row` digits followed by
+/// `col`, so the winner is the first member of that range in the closest
+/// proximity group that has one. If a ring neighbor ties it, replaying
+/// the winner is a no-op.
+fn routing_candidates(
+    by_id: &[NodeHandle],
+    pos: usize,
+    near: &[(u32, &[usize])],
+    out: &mut Vec<usize>,
+) {
+    let me = by_id[pos].id;
+    // `lo..hi`: the positions sharing this node's first `row` digits.
+    let (mut lo, mut hi) = (0, by_id.len());
+    for row in 0..NUM_DIGITS {
+        if hi - lo == 1 {
+            break; // only this node is left: every deeper row is empty
+        }
+        let mine = me.digit(row);
+        let mut start = lo;
+        let mut next = (lo, hi);
+        for col in 0..DIGIT_BASE {
+            let end = lo + by_id[lo..hi].partition_point(|h| h.id.digit(row) <= col);
+            if col == mine {
+                next = (start, end);
+            } else if start < end {
+                let winner = near.iter().find_map(|&(_, group)| {
+                    let i = group.partition_point(|&p| p < start);
+                    group.get(i).copied().filter(|&p| p < end)
+                });
+                out.extend(winner);
+            }
+            start = end;
+        }
+        (lo, hi) = next;
+    }
 }
 
 /// A started overlay: the engine plus the node handles (indexed by

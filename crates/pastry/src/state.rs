@@ -16,7 +16,7 @@ const NEIGHBOR_CAPACITY: usize = 16;
 /// The leaf set: the `L/2` numerically closest nodes clockwise and
 /// counter-clockwise of the local node. It completes the last routing hop
 /// and anchors repair after failures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LeafSet {
     self_id: NodeId,
     half: usize,
@@ -177,7 +177,7 @@ impl LeafSet {
 
 /// The prefix-routing table: row `r` holds nodes sharing exactly `r` digits
 /// with the local id, indexed by their digit at position `r`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
     self_id: NodeId,
     rows: Vec<[Option<NodeHandle>; DIGIT_BASE]>,
@@ -279,7 +279,7 @@ impl RoutingTable {
 /// The neighbor set `M`: the physically closest nodes regardless of id —
 /// the set v-Bundle's placement algorithm walks when the target server
 /// cannot host a new VM (§II.B).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeighborSet {
     capacity: usize,
     /// Sorted by (proximity, ring distance to owner), ascending.
@@ -314,6 +314,14 @@ impl NeighborSet {
         self.items.insert(pos, (proximity, h));
         self.items.truncate(self.capacity);
         true
+    }
+
+    /// The `(proximity, ring distance)` key a newcomer must not exceed to
+    /// get in: the worst member's once the set is full, `None` while it
+    /// has room. Inserting nodes only makes it stricter.
+    pub(crate) fn admission_bound(&self) -> Option<(u32, u128)> {
+        let &(prox, worst) = self.items.last()?;
+        (self.items.len() >= self.capacity).then(|| (prox, self.self_id.ring_distance(worst.id)))
     }
 
     /// Removes a (failed) node. Returns `true` if present.
