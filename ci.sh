@@ -58,15 +58,18 @@ echo "==> perfbench churn smoke (seed 1)"
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload churn --seed 1 --seconds 1 --trace 0 > /dev/null
 
-# Full-stack byte identity: the benchmark workloads' seed-1 outcome
-# digests are pinned, so a behaviour change anywhere in the stack fails
-# here, not only where a sweep golden happens to look.
-for pin in rebalance:b75d0622a2800453 boot_storm:2ecc510a84c914f8; do
-    workload="${pin%%:*}"
-    want="digest ${workload} seed 1 ${pin#*:}"
-    echo "==> perfbench ${workload} digest pin (seed 1)"
+# Full-stack byte identity: the benchmark workloads' outcome digests are
+# pinned (workload:seed:digest), so a behaviour change anywhere in the stack
+# fails here, not only where a sweep golden happens to look. churn's rack
+# crashes cover Scribe child removal and node restart.
+for pin in rebalance:1:b75d0622a2800453 rebalance:2:d81d7193ea252f1d \
+    boot_storm:1:2ecc510a84c914f8 boot_storm:2:72467afdede8adf8 \
+    churn:1:6c1b9e6810acb153; do
+    IFS=: read -r workload seed digest <<< "${pin}"
+    want="digest ${workload} seed ${seed} ${digest}"
+    echo "==> perfbench ${workload} digest pin (seed ${seed})"
     got="$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
-        --workload "${workload}" --seed 1 --seconds 1 --trace 0 | grep '^digest ')"
+        --workload "${workload}" --seed "${seed}" --seconds 1 --trace 0 | grep '^digest ')"
     if [ "${got}" != "${want}" ]; then
         echo "digest drift: got '${got}', want '${want}'" >&2
         exit 1

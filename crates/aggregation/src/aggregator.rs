@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use vbundle_fdetect::{ArrivalWindow, PhiConfig, FIRST_INTERVAL, PHI_THRESHOLD};
-use vbundle_pastry::NodeHandle;
+use vbundle_pastry::{Id, NodeHandle};
 use vbundle_scribe::{GroupId, ScribeCtx};
 use vbundle_sim::{Message, SimDuration, SimTime};
 
@@ -355,14 +355,13 @@ impl Aggregator {
         topic: GroupId,
     ) {
         let me = ctx.self_handle();
-        // Prune info-base entries from nodes that are no longer children
-        // (tree churn) so stale contributions do not linger.
-        let children = ctx.children(topic);
         let Some(st) = self.topics.get_mut(&topic.as_u128()) else {
             return;
         };
+        // Prune info-base entries from nodes that are no longer children
+        // (tree churn) so stale contributions do not linger.
         st.info_base
-            .retain(|id, _| children.iter().any(|c| c.id.as_u128() == *id));
+            .retain(|&id, _| ctx.has_child(topic, Id::from_u128(id)));
         let subtree = match &self.config.robustness {
             Robustness::TrustAll => st.info_base.values().fold(st.local, |acc, v| acc.merge(v)),
             Robustness::Defensive(_) => {

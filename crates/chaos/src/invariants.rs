@@ -120,7 +120,7 @@ pub fn check_scribe_trees<C: ScribeClient>(
         reached.insert(roots[0]);
         while let Some(actor) = queue.pop_front() {
             let st = states[&actor];
-            for child in &st.children {
+            for child in st.children() {
                 let c = child.actor.index() as u32;
                 if !engine.is_alive(child.actor) {
                     out.push(format!(

@@ -1646,17 +1646,13 @@ impl Controller {
                 u32::MAX
             }
         };
-        let next = state
-            .known_nodes()
-            .into_iter()
-            .filter(|h| !q.visited.contains(&h.actor))
-            .min_by_key(|h| {
-                (
-                    dist(h.actor, root.actor),
-                    dist(h.actor, me.actor),
-                    h.id.ring_distance(root.id),
-                )
-            });
+        let next = first_min_unvisited(state.known_nodes(), &q.visited, |h| {
+            (
+                dist(h.actor, root.actor),
+                dist(h.actor, me.actor),
+                h.id.ring_distance(root.id),
+            )
+        });
         match next {
             Some(n) => ctx.send_client(n, CtrlMsg::Boot(q)),
             None => reject(ctx, &q),
@@ -2854,11 +2850,32 @@ impl ScribeClient for Controller {
     }
 }
 
+/// The first candidate with the smallest `key` whose actor is not in
+/// `visited`: `filter(unvisited).min_by_key(key)` in one pass that checks
+/// `visited` only for a candidate that would beat the best so far (strict
+/// `<`, so the first minimum still wins).
+fn first_min_unvisited<K: Ord>(
+    candidates: impl IntoIterator<Item = NodeHandle>,
+    visited: &[ActorId],
+    key: impl Fn(&NodeHandle) -> K,
+) -> Option<NodeHandle> {
+    let mut best: Option<(K, NodeHandle)> = None;
+    for h in candidates {
+        let k = key(&h);
+        if best.as_ref().is_none_or(|(b, _)| k < *b) && !visited.contains(&h.actor) {
+            best = Some((k, h));
+        }
+    }
+    best.map(|(_, h)| h)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{CustomerId, ResourceSpec};
+    use proptest::prelude::*;
     use vbundle_aggregation::AggregationConfig;
+    use vbundle_pastry::Id;
 
     fn controller(threshold: f64) -> Controller {
         Controller::new(
@@ -3242,5 +3259,35 @@ mod tests {
             capacity_topic(crate::ResourceKind::Bandwidth),
             bw_capacity_topic()
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The boot walk's one-pass next hop agrees with the
+        /// filter-then-min it replaced. Keys and actors come from small
+        /// ranges, so ties and visited candidates are common.
+        #[test]
+        fn prop_boot_next_hop_matches_filter_then_min(
+            cands in proptest::collection::vec((0u32..4, 0u32..3, 0u32..12), 0..40),
+            visited in proptest::collection::vec(0u32..12, 0..10),
+        ) {
+            let handles: Vec<NodeHandle> = cands
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, _, actor))| NodeHandle::new(Id::from_u128(i as u128), ActorId::new(actor)))
+                .collect();
+            let visited: Vec<ActorId> = visited.into_iter().map(ActorId::new).collect();
+            let key = |h: &NodeHandle| {
+                let (a, b, _) = cands[h.id.as_u128() as usize];
+                (a, b)
+            };
+            let want = handles
+                .iter()
+                .copied()
+                .filter(|h| !visited.contains(&h.actor))
+                .min_by_key(key);
+            prop_assert_eq!(first_min_unvisited(handles.iter().copied(), &visited, key), want);
+        }
     }
 }

@@ -36,7 +36,7 @@ pub const PHI_THRESHOLD: f64 = 8.0;
 const MIN_STD_DEV: SimDuration = SimDuration::from_millis(200);
 /// Expected inter-arrival time before any sample has been observed (1 s);
 /// per-peer bootstrap estimates (e.g. probe interval + RTT) override it
-/// via [`FailureDetector::observe_with_estimate`].
+/// via [`FailureDetector::evaluate_with_estimate`].
 pub const FIRST_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// Slack the detector adds to the fitted mean before phi starts to climb
 /// (none): the suspect grace, not a pause, absorbs one-off gaps.
@@ -126,12 +126,12 @@ impl ArrivalWindow {
         }
     }
 
-    /// Fitted standard deviation in microseconds, floored at `min_std`.
-    fn std_micros(&self, min_std: f64) -> f64 {
+    /// Fitted standard deviation in microseconds around the fitted `mean`,
+    /// floored at `min_std`.
+    fn std_micros(&self, mean: f64, min_std: f64) -> f64 {
         if self.intervals.len() < 2 {
             return min_std;
         }
-        let mean = self.mean_micros();
         let var = self
             .intervals
             .iter()
@@ -153,8 +153,9 @@ impl ArrivalWindow {
             return 0.0;
         };
         let elapsed = now.saturating_since(last).as_micros() as f64;
-        let mean = self.mean_micros() + pause.as_micros() as f64;
-        let std = self.std_micros(MIN_STD_DEV.as_micros() as f64);
+        let fitted = self.mean_micros();
+        let std = self.std_micros(fitted, MIN_STD_DEV.as_micros() as f64);
+        let mean = fitted + pause.as_micros() as f64;
         let y = (elapsed - mean) / std;
         let e = (-y * (1.5976 + 0.070566 * y * y)).exp();
         let p_later = if elapsed > mean {
@@ -251,8 +252,21 @@ impl<K: Ord + Copy> FailureDetector<K> {
 
     /// Classifies `key` at `now`, advancing the suspicion state machine.
     pub fn evaluate(&mut self, key: K, now: SimTime) -> Verdict {
+        self.evaluate_with_estimate(key, now, FIRST_INTERVAL)
+    }
+
+    /// [`FailureDetector::evaluate`] for a peer that, if not yet tracked,
+    /// starts with an explicit cadence estimate: the same verdict as
+    /// [`FailureDetector::observe_with_estimate`] followed by `evaluate`,
+    /// in one map lookup.
+    pub fn evaluate_with_estimate(
+        &mut self,
+        key: K,
+        now: SimTime,
+        estimate: SimDuration,
+    ) -> Verdict {
         let confirm = self.config.confirm_timeout;
-        let st = self.entry(key, now, FIRST_INTERVAL);
+        let st = self.entry(key, now, estimate);
         if st.window.phi(now, ACCEPTABLE_PAUSE) < PHI_THRESHOLD {
             st.suspect_since = None;
             return Verdict::Alive;
@@ -292,6 +306,8 @@ impl<K: Ord + Copy> FailureDetector<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn t(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -364,5 +380,102 @@ mod tests {
         d.clear();
         assert_eq!(d.tracked(), 0);
         assert_eq!(d.phi(&2, t(5)), 0.0);
+    }
+
+    /// The two-pass formula `ArrivalWindow::phi` used before it computed
+    /// the fitted mean once: the standard deviation re-derives the mean.
+    fn two_pass_phi(w: &ArrivalWindow, now: SimTime, pause: SimDuration) -> f64 {
+        let Some(last) = w.last else {
+            return 0.0;
+        };
+        let elapsed = now.saturating_since(last).as_micros() as f64;
+        let mean = w.mean_micros() + pause.as_micros() as f64;
+        let min_std = MIN_STD_DEV.as_micros() as f64;
+        let std = if w.intervals.len() < 2 {
+            min_std
+        } else {
+            let m = w.mean_micros();
+            let var = w
+                .intervals
+                .iter()
+                .map(|&x| {
+                    let d = x as f64 - m;
+                    d * d
+                })
+                .sum::<f64>()
+                / (w.intervals.len() - 1) as f64;
+            var.sqrt().max(min_std)
+        };
+        let y = (elapsed - mean) / std;
+        let e = (-y * (1.5976 + 0.070566 * y * y)).exp();
+        let p_later = if elapsed > mean {
+            e / (1.0 + e)
+        } else {
+            1.0 - 1.0 / (1.0 + e)
+        };
+        -p_later.max(f64::MIN_POSITIVE).log10()
+    }
+
+    #[test]
+    fn phi_matches_two_pass_formula_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..200 {
+            let mut w =
+                ArrivalWindow::new(SimDuration::from_micros(rng.gen_range(1..3_000_000u64)));
+            let mut now = 0u64;
+            for _ in 0..rng.gen_range(0..40usize) {
+                now += rng.gen_range(0..4_000_000u64);
+                w.record(SimTime::from_micros(now));
+            }
+            for _ in 0..8 {
+                let at = SimTime::from_micros(now + rng.gen_range(0..20_000_000u64));
+                let pause = SimDuration::from_micros(
+                    rng.gen_range(0..2u64) * rng.gen_range(0..1_000_000u64),
+                );
+                assert_eq!(
+                    w.phi(at, pause).to_bits(),
+                    two_pass_phi(&w, at, pause).to_bits(),
+                    "window {:?} at {at:?} pause {pause:?}",
+                    w.intervals
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn evaluate_with_estimate_matches_observe_then_evaluate() {
+        // Two detectors see the same heartbeat/evaluate trace over a few
+        // peers with per-peer estimates; one takes the two-call sequence,
+        // the other the fused call. Every verdict must agree.
+        let config = PhiConfig::default().with_confirm_timeout(SimDuration::from_secs(2));
+        let mut fused: FailureDetector<u64> = FailureDetector::new(config.clone());
+        let mut paired: FailureDetector<u64> = FailureDetector::new(config);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut now = 0u64;
+        let mut seen = [false; 4];
+        for step in 0..5_000 {
+            now += rng.gen_range(0..700_000u64);
+            let at = SimTime::from_micros(now);
+            let peer = rng.gen_range(0..6u64);
+            if rng.gen_range(0..3u32) == 0 {
+                fused.heartbeat(peer, at);
+                paired.heartbeat(peer, at);
+            } else {
+                let estimate = SimDuration::from_micros(500_000 + peer * 300_000);
+                paired.observe_with_estimate(peer, at, estimate);
+                let want = paired.evaluate(peer, at);
+                assert_eq!(
+                    fused.evaluate_with_estimate(peer, at, estimate),
+                    want,
+                    "step {step}"
+                );
+                seen[want as usize] = true;
+            }
+            if rng.gen_range(0..200u32) == 0 {
+                fused.forget(&peer);
+                paired.forget(&peer);
+            }
+        }
+        assert_eq!(seen, [true; 4], "the trace must reach every verdict");
     }
 }

@@ -546,8 +546,8 @@ impl<A: PastryApp> PastryNode<A> {
                 let key = member.id.as_u128();
                 // Expected ack cadence: one ack per probe round, arriving
                 // an RTT after the probe.
-                detector.observe_with_estimate(key, now, interval + ctx.rtt_to(member.actor));
-                match detector.evaluate(key, now) {
+                let estimate = interval + ctx.rtt_to(member.actor);
+                match detector.evaluate_with_estimate(key, now, estimate) {
                     Verdict::Alive | Verdict::Suspect => {
                         ctx.send(member.actor, PastryMsg::Heartbeat(me));
                     }

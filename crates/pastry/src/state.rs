@@ -181,6 +181,10 @@ impl LeafSet {
 pub struct RoutingTable {
     self_id: NodeId,
     rows: Vec<[Option<NodeHandle>; DIGIT_BASE]>,
+    /// One past the deepest non-empty row. Rows from here on are empty, so
+    /// scans stop here: in an `n`-node ring only about `log16 n` of the 32
+    /// rows ever fill.
+    depth: usize,
 }
 
 impl RoutingTable {
@@ -189,6 +193,7 @@ impl RoutingTable {
         RoutingTable {
             self_id,
             rows: vec![[None; DIGIT_BASE]; NUM_DIGITS],
+            depth: 0,
         }
     }
 
@@ -206,6 +211,7 @@ impl RoutingTable {
         match &mut self.rows[row][col] {
             slot @ None => {
                 *slot = Some(h);
+                self.depth = self.depth.max(row + 1);
                 true
             }
             Some(existing) if existing.id == h.id => false,
@@ -239,24 +245,36 @@ impl RoutingTable {
         self.rows[row][key.digit(row)]
     }
 
-    /// Removes a (failed) node wherever it appears. Returns `true` if it
-    /// was present.
-    pub fn remove(&mut self, id: NodeId) -> bool {
-        let mut removed = false;
-        for row in &mut self.rows {
-            for slot in row.iter_mut() {
-                if slot.map(|h| h.id) == Some(id) {
-                    *slot = None;
-                    removed = true;
-                }
-            }
-        }
-        removed
+    /// The only slot `id` can occupy: its id fixes both row and column.
+    fn slot_of(&self, id: NodeId) -> Option<(usize, usize)> {
+        let row = self.self_id.shared_prefix_len(id);
+        (row < NUM_DIGITS).then(|| (row, id.digit(row)))
     }
 
-    /// All filled entries.
+    /// True if `id` holds a slot.
+    pub(crate) fn contains(&self, id: NodeId) -> bool {
+        self.slot_of(id)
+            .is_some_and(|(row, col)| self.rows[row][col].is_some_and(|h| h.id == id))
+    }
+
+    /// Removes a (failed) node. Returns `true` if it was present.
+    pub fn remove(&mut self, id: NodeId) -> bool {
+        let Some((row, col)) = self.slot_of(id) else {
+            return false;
+        };
+        if self.rows[row][col].is_none_or(|h| h.id != id) {
+            return false;
+        }
+        self.rows[row][col] = None;
+        while self.depth > 0 && self.rows[self.depth - 1].iter().all(Option::is_none) {
+            self.depth -= 1;
+        }
+        true
+    }
+
+    /// All filled entries, row by row.
     pub fn entries(&self) -> impl Iterator<Item = NodeHandle> + '_ {
-        self.rows.iter().flatten().filter_map(|s| *s)
+        self.rows[..self.depth].iter().flatten().filter_map(|s| *s)
     }
 
     /// The contents of row `row` (used by the join protocol, where each
@@ -449,18 +467,21 @@ impl PastryState {
         a || b || c
     }
 
-    /// Every distinct node this state knows about.
+    /// Every distinct node this state knows about: leaf-set members, then
+    /// routing-table entries, then neighbor-set members, each id once, at
+    /// its first appearance.
     pub fn known_nodes(&self) -> Vec<NodeHandle> {
-        let mut out = self.leaf_set.members();
-        for h in self
-            .routing_table
-            .entries()
-            .chain(self.neighbor_set.members())
-        {
-            if !out.iter().any(|o| o.id == h.id) {
-                out.push(h);
-            }
-        }
+        // Routing-table entries are distinct, as are neighbor-set members,
+        // so a later structure only needs checking against earlier ones.
+        let leaves = &self.leaf_set;
+        let table = &self.routing_table;
+        let mut out = leaves.members();
+        out.extend(table.entries().filter(|h| !leaves.contains(h.id)));
+        out.extend(
+            self.neighbor_set
+                .members()
+                .filter(|h| !leaves.contains(h.id) && !table.contains(h.id)),
+        );
         out
     }
 
@@ -657,6 +678,90 @@ mod tests {
             assert!(!rt.remove(a.id));
         }
 
+        /// An id sharing exactly `row` leading digits with `self_v`.
+        fn id_in_row(self_v: u128, row: usize, digit: u128, rest: u128) -> u128 {
+            let shift = 128 - 4 * (row as u32 + 1);
+            let own = (self_v >> shift) & 0xF;
+            let digit = if digit & 0xF == own {
+                (own + 1) & 0xF
+            } else {
+                digit & 0xF
+            };
+            let prefix = self_v & !(u128::MAX >> (4 * row as u32));
+            prefix | (digit << shift) | (rest & ((1u128 << shift) - 1))
+        }
+
+        /// The oracle: every slot of all 32 rows, row by row.
+        fn full_scan(rt: &RoutingTable) -> Vec<NodeHandle> {
+            (0..NUM_DIGITS)
+                .flat_map(|r| (0..DIGIT_BASE).filter_map(move |c| rt.entry(r, c)))
+                .collect()
+        }
+
+        #[test]
+        fn emptying_the_deepest_row_shrinks_the_scan() {
+            let self_v = 0x1234_5678u128 << 96;
+            let mut rt = RoutingTable::new(Id::from_u128(self_v));
+            let shallow = h(id_in_row(self_v, 0, 9, 1), 1);
+            let deep = h(id_in_row(self_v, 5, 0, 2), 2);
+            let deeper = h(id_in_row(self_v, 7, 0, 3), 3);
+            for x in [shallow, deep, deeper] {
+                assert!(rt.insert(x, |_| 0));
+            }
+            assert_eq!(rt.depth, 8);
+            assert!(rt.remove(deeper.id));
+            assert_eq!(rt.depth, 6);
+            assert_eq!(rt.entries().collect::<Vec<_>>(), vec![shallow, deep]);
+            assert!(rt.remove(deep.id));
+            assert_eq!(rt.depth, 1);
+            assert!(!rt.remove(deep.id));
+            assert!(!rt.remove(rt.self_id));
+            assert!(rt.remove(shallow.id));
+            assert_eq!(rt.depth, 0);
+            assert!(rt.is_empty());
+            assert!(rt.insert(deep, |_| 0));
+            assert_eq!(rt.entries().collect::<Vec<_>>(), full_scan(&rt));
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+            /// `entries()` (which stops at the deepest non-empty row),
+            /// `contains` and `remove` agree with a scan of all 32 rows
+            /// after every step of a random insert/remove sequence. The
+            /// pool is concentrated in a few rows so rows, the deepest
+            /// included, fill and empty again.
+            #[test]
+            fn prop_entries_match_full_scan(
+                self_v in proptest::prelude::any::<u128>(),
+                pool in proptest::collection::vec((0usize..7, 0u128..3, proptest::prelude::any::<u128>()), 1..14),
+                ops in proptest::collection::vec((proptest::prelude::any::<bool>(), 0usize..14, 0u32..4), 0..80),
+            ) {
+                let mut rt = RoutingTable::new(Id::from_u128(self_v));
+                let pool: Vec<NodeHandle> = pool
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(row, digit, rest))| h(id_in_row(self_v, row, digit, rest), i as u32))
+                    .collect();
+                for (insert, pick, prox) in ops {
+                    let x = pool[pick % pool.len()];
+                    let before = full_scan(&rt);
+                    if insert {
+                        rt.insert(x, |c| (c.actor.index() as u32 + prox) % 4);
+                    } else {
+                        let present = before.iter().any(|e| e.id == x.id);
+                        proptest::prop_assert_eq!(rt.remove(x.id), present);
+                    }
+                    let scan = full_scan(&rt);
+                    proptest::prop_assert_eq!(rt.entries().collect::<Vec<_>>(), scan.clone());
+                    proptest::prop_assert_eq!(rt.len(), scan.len());
+                    for e in &pool {
+                        proptest::prop_assert_eq!(rt.contains(e.id), scan.iter().any(|s| s.id == e.id));
+                    }
+                }
+            }
+        }
+
         #[test]
         fn row_lists_entries() {
             let mut rt = RoutingTable::new(Id::from_u128(0));
@@ -805,6 +910,60 @@ mod tests {
             assert!(st.forget(Id::from_u128(140)));
             assert!(!st.forget(Id::from_u128(140)));
             assert!(st.known_nodes().iter().all(|n| n.id != Id::from_u128(140)));
+        }
+
+        /// The dedup `known_nodes` did before it asked the structures
+        /// themselves: a linear scan of everything collected so far.
+        fn known_nodes_by_scan(st: &PastryState) -> Vec<NodeHandle> {
+            let mut out = st.leaf_set().members();
+            for h in st
+                .routing_table()
+                .entries()
+                .chain(st.neighbor_set().members())
+            {
+                if !out.iter().any(|o| o.id == h.id) {
+                    out.push(h);
+                }
+            }
+            out
+        }
+
+        proptest::proptest! {
+            #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+            /// `known_nodes` keeps the scan-based dedup's order and set
+            /// through random learn/forget sequences. Ids cluster under a
+            /// few prefixes so one node often sits in two or three
+            /// structures at once.
+            #[test]
+            fn prop_known_nodes_match_scan_dedup(
+                self_v in proptest::prelude::any::<u128>(),
+                leaf_half in 1usize..4,
+                pool in proptest::collection::vec((0u128..4, proptest::prelude::any::<u64>(), 0u32..20), 1..40),
+                ops in proptest::collection::vec((0u8..4, 0usize..40), 0..60),
+            ) {
+                let topo = Arc::new(
+                    Topology::builder()
+                        .pods(1)
+                        .racks_per_pod(4)
+                        .servers_per_rack(4)
+                        .build(),
+                );
+                let mut st = PastryState::new(h(self_v, 0), topo, leaf_half);
+                let pool: Vec<NodeHandle> = pool
+                    .iter()
+                    .map(|&(top, low, actor)| h((self_v & !(u128::MAX >> 8)) ^ (top << 120) | low as u128, actor))
+                    .collect();
+                for (op, pick) in ops {
+                    let x = pool[pick % pool.len()];
+                    if op == 0 {
+                        st.forget(x.id);
+                    } else {
+                        st.learn(x);
+                    }
+                    proptest::prop_assert_eq!(st.known_nodes(), known_nodes_by_scan(&st));
+                }
+            }
         }
 
         #[test]

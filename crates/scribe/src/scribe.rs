@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 
 use vbundle_fdetect::{DedupWindow, FailureDetection, FailureDetector, Verdict};
 use vbundle_obs::{Counter, FlightRecorder, Registry, Subsystem};
-use vbundle_pastry::{AppCtx, Key, NodeHandle, PastryApp, RouteDecision};
+use vbundle_pastry::{AppCtx, Id, Key, NodeHandle, PastryApp, RouteDecision};
 use vbundle_sim::{ActorId, Message, SimDuration, SimTime};
 
 use crate::message::{AnycastEnvelope, ScribeMsg};
@@ -306,12 +306,12 @@ impl<'a, 'b, 'c, 'd, M: Message + Clone> ScribeCtx<'a, 'b, 'c, 'd, M> {
         self.groups.get(&group.as_u128()).and_then(|g| g.parent)
     }
 
-    /// The children grafted below the local node in `group`'s tree.
-    pub fn children(&self, group: GroupId) -> Vec<NodeHandle> {
+    /// Whether a child with id `child` is grafted below the local node in
+    /// `group`'s tree.
+    pub fn has_child(&self, group: GroupId, child: Id) -> bool {
         self.groups
             .get(&group.as_u128())
-            .map(|g| g.children.clone())
-            .unwrap_or_default()
+            .is_some_and(|g| g.has_child(child))
     }
 
     /// Whether the local node participates in `group`'s tree at all.
@@ -328,7 +328,9 @@ pub struct Scribe<C: ScribeClient> {
     /// When each `(group, child id)` link last proved itself alive (a Join,
     /// re-Join or ParentProbe from the child). Links silent for three probe
     /// rounds are dropped, so a child that re-parented elsewhere (or died
-    /// without a Leave) cannot stay grafted under a stale parent.
+    /// without a Leave) cannot stay grafted under a stale parent. Written
+    /// only in [`FailureDetection::FixedInterval`] mode, the one that reads
+    /// it.
     child_heard: BTreeMap<(u128, u128), SimTime>,
     /// Phi-accrual detector over `(group, child id)` links. `None` in
     /// [`FailureDetection::FixedInterval`] mode, where the three-round
@@ -394,9 +396,11 @@ impl<C: ScribeClient> Scribe<C> {
 
     /// Records proof of life for a `(group, child)` tree link.
     fn child_alive(&mut self, group: u128, child: u128, now: SimTime) {
-        self.child_heard.insert((group, child), now);
-        if let Some(det) = self.child_detector.as_mut() {
-            det.heartbeat((group, child), now);
+        match self.child_detector.as_mut() {
+            Some(det) => det.heartbeat((group, child), now),
+            None => {
+                self.child_heard.insert((group, child), now);
+            }
         }
     }
 
@@ -481,7 +485,7 @@ impl<C: ScribeClient> Scribe<C> {
             return;
         }
         st.member = true;
-        if st.root || st.parent.is_some() || !st.children.is_empty() {
+        if st.root || st.parent.is_some() || !st.children().is_empty() {
             return; // already grafted as root or forwarder
         }
         pastry.route(
@@ -511,7 +515,7 @@ impl<C: ScribeClient> Scribe<C> {
         let Some(st) = self.groups.get(&g.as_u128()) else {
             return;
         };
-        if st.member || st.root || !st.children.is_empty() {
+        if st.member || st.root || !st.children().is_empty() {
             return;
         }
         let parent = st.parent;
@@ -579,7 +583,7 @@ impl<C: ScribeClient> Scribe<C> {
         if let Some(st) = self.groups.get_mut(&g.as_u128()) {
             st.root = false;
             st.parent = None;
-            rejoin = st.member || !st.children.is_empty();
+            rejoin = st.member || !st.children().is_empty();
         }
         if rejoin {
             pastry.route(
@@ -660,7 +664,7 @@ impl<C: ScribeClient> Scribe<C> {
         st.last_delivered = Some((root, seq));
         let member = st.member;
         if ttl > 0 {
-            for child in st.children.clone() {
+            for &child in st.children() {
                 pastry.send_direct(
                     child,
                     ScribeMsg::Disseminate {
@@ -718,47 +722,36 @@ impl<C: ScribeClient> Scribe<C> {
         };
         let already_visited = env.visited.contains(&me.actor);
         let self_eligible = st.member && !env.offered.contains(&me.actor) && me.id != env.origin.id;
-        #[derive(Clone, Copy)]
-        enum Candidate {
-            Local,
-            Child(NodeHandle),
-        }
-        let mut candidates: Vec<(u32, u128, Candidate)> = Vec::new();
-        if self_eligible {
-            candidates.push((dist_to_origin(me.actor), 0, Candidate::Local));
-        }
-        for c in &st.children {
-            if !env.visited.contains(&c.actor) {
-                candidates.push((
-                    dist_to_origin(c.actor),
-                    c.id.ring_distance(me.id).max(1),
-                    Candidate::Child(*c),
-                ));
-            }
-        }
-        candidates.sort_by_key(|&(d, tie, _)| (d, tie));
+        let (offer_local, next_child) = anycast_pick(
+            self_eligible.then(|| dist_to_origin(me.actor)),
+            st.children()
+                .iter()
+                .filter(|c| !env.visited.contains(&c.actor))
+                .map(|&c| {
+                    (
+                        (dist_to_origin(c.actor), c.id.ring_distance(me.id).max(1)),
+                        c,
+                    )
+                }),
+        );
         if !already_visited {
             env.visited.push(me.actor);
         }
-        for (_, _, cand) in candidates {
-            match cand {
-                Candidate::Local => {
-                    let origin = env.origin;
-                    env.offered.push(me.actor);
-                    let accepted = self.with_client(pastry, |c, ctx| {
-                        c.anycast_accept(ctx, g, &env.payload, origin)
-                    });
-                    if accepted {
-                        return;
-                    }
-                    // Declined: fall through to the next candidate.
-                }
-                Candidate::Child(c) => {
-                    env.ttl -= 1;
-                    pastry.send_direct(c, ScribeMsg::AnycastStep(env));
-                    return;
-                }
+        if offer_local {
+            let origin = env.origin;
+            env.offered.push(me.actor);
+            let accepted = self.with_client(pastry, |c, ctx| {
+                c.anycast_accept(ctx, g, &env.payload, origin)
+            });
+            if accepted {
+                return;
             }
+            // Declined: fall through to the closest child subtree.
+        }
+        if let Some(c) = next_child {
+            env.ttl -= 1;
+            pastry.send_direct(c, ScribeMsg::AnycastStep(env));
+            return;
         }
         // Exhausted here: backtrack to the parent, which scans its
         // remaining branches.
@@ -814,7 +807,7 @@ impl<C: ScribeClient> Scribe<C> {
                     lost_parent = true;
                 }
                 let dead: Vec<NodeHandle> = st
-                    .children
+                    .children()
                     .iter()
                     .copied()
                     .filter(|c| c.actor == failed_actor)
@@ -830,7 +823,7 @@ impl<C: ScribeClient> Scribe<C> {
             }
             if lost_parent {
                 let st = self.groups.get(&key).expect("group present");
-                if st.member || !st.children.is_empty() {
+                if st.member || !st.children().is_empty() {
                     pastry.route(
                         g,
                         ScribeMsg::Join {
@@ -893,9 +886,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
         let mut gone = Vec::new();
         for (&key, st) in &mut self.groups {
             let g = GroupId::from_u128(key);
-            for child in std::mem::take(&mut st.children) {
-                dropped.push((g, child));
-            }
+            dropped.extend(st.take_children().into_iter().map(|child| (g, child)));
             let parent = st.parent.take();
             if st.root {
                 continue;
@@ -1097,7 +1088,7 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 if let Some(st) = self.groups.get_mut(&group.as_u128()) {
                     if st.parent.is_some_and(|p| p.actor == from.actor) {
                         st.parent = None;
-                        action = Some(st.member || !st.children.is_empty());
+                        action = Some(st.member || !st.children().is_empty());
                     }
                 }
                 match action {
@@ -1151,34 +1142,36 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
                 let now = ctx.now();
                 let mut expired: Vec<(GroupId, NodeHandle)> = Vec::new();
                 if let Some(det) = self.child_detector.as_mut() {
-                    let links: Vec<(u128, NodeHandle)> = self
-                        .groups
-                        .iter()
-                        .flat_map(|(&key, st)| st.children.iter().map(move |&c| (key, c)))
-                        .collect();
-                    for &(key, child) in &links {
-                        let link = (key, child.id.as_u128());
-                        det.observe_with_estimate(link, now, interval + ctx.rtt_to(&child));
-                        match det.evaluate(link, now) {
-                            Verdict::Alive | Verdict::Suspect => {}
-                            Verdict::NewlySuspect => ctx.send_direct(
-                                child,
-                                ScribeMsg::ChildProbe {
-                                    group: GroupId::from_u128(key),
-                                },
-                            ),
-                            Verdict::Dead => expired.push((GroupId::from_u128(key), child)),
+                    for (&key, st) in &self.groups {
+                        for &child in st.children() {
+                            let link = (key, child.id.as_u128());
+                            let estimate = interval + ctx.rtt_to(&child);
+                            match det.evaluate_with_estimate(link, now, estimate) {
+                                Verdict::Alive | Verdict::Suspect => {}
+                                Verdict::NewlySuspect => ctx.send_direct(
+                                    child,
+                                    ScribeMsg::ChildProbe {
+                                        group: GroupId::from_u128(key),
+                                    },
+                                ),
+                                Verdict::Dead => expired.push((GroupId::from_u128(key), child)),
+                            }
                         }
                     }
                     // Stop tracking links that disappeared without passing
                     // through child_gone (e.g. bulk drops on restart).
-                    det.retain(|&(g, c)| links.iter().any(|(k, h)| *k == g && h.id.as_u128() == c));
+                    let groups = &self.groups;
+                    det.retain(|&(g, c)| {
+                        groups
+                            .get(&g)
+                            .is_some_and(|st| st.has_child(Id::from_u128(c)))
+                    });
                 } else {
                     let expiry = interval * 3;
                     let groups = &self.groups;
                     let child_heard = &mut self.child_heard;
                     for (&key, st) in groups {
-                        for &child in &st.children {
+                        for &child in st.children() {
                             let heard = child_heard.entry((key, child.id.as_u128())).or_insert(now);
                             if now.saturating_since(*heard) > expiry {
                                 expired.push((GroupId::from_u128(key), child));
@@ -1254,10 +1247,104 @@ impl<C: ScribeClient> PastryApp for Scribe<C> {
     }
 }
 
+/// One anycast DFS step's choice at a node: whether to offer the payload
+/// to the local member, and which child subtree to descend into (right
+/// away, or after the local member declines).
+///
+/// `local` is the local member's distance to the origin when it is
+/// eligible; `children` yields each unvisited child with its `(distance to
+/// origin, ring-distance tie)` key, ties at least 1. The local member ranks
+/// as `(distance, 0)`, so it wins distance ties, and is offered only if it
+/// ranks before the best child. Among children the first minimum wins.
+fn anycast_pick<T>(
+    local: Option<u32>,
+    children: impl IntoIterator<Item = ((u32, u128), T)>,
+) -> (bool, Option<T>) {
+    let best = children.into_iter().min_by_key(|&(key, _)| key);
+    let offer_local = match (local, &best) {
+        (None, _) => false,
+        (Some(_), None) => true,
+        (Some(d), Some((key, _))) => (d, 0) < *key,
+    };
+    (offer_local, best.map(|(_, c)| c))
+}
+
 impl<C: ScribeClient> std::fmt::Debug for Scribe<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scribe")
             .field("groups", &self.groups.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The selection `anycast_step` made before [`anycast_pick`]: collect
+    /// every candidate, stable-sort by key, then walk the list — the local
+    /// member is offered (and, here, declines) until the first child ends
+    /// the step.
+    fn sort_based_pick(
+        local: Option<u32>,
+        children: &[((u32, u128), usize)],
+    ) -> (bool, Option<usize>) {
+        #[derive(Clone, Copy)]
+        enum Candidate {
+            Local,
+            Child(usize),
+        }
+        let mut candidates: Vec<(u32, u128, Candidate)> = Vec::new();
+        if let Some(d) = local {
+            candidates.push((d, 0, Candidate::Local));
+        }
+        for &((d, tie), c) in children {
+            candidates.push((d, tie, Candidate::Child(c)));
+        }
+        candidates.sort_by_key(|&(d, tie, _)| (d, tie));
+        let mut offered = false;
+        for (_, _, cand) in candidates {
+            match cand {
+                Candidate::Local => offered = true,
+                Candidate::Child(c) => return (offered, Some(c)),
+            }
+        }
+        (offered, None)
+    }
+
+    #[test]
+    fn local_member_wins_distance_ties() {
+        assert_eq!(anycast_pick(Some(2), [((2, 1), 'a')]), (true, Some('a')));
+        assert_eq!(anycast_pick(Some(3), [((2, 9), 'a')]), (false, Some('a')));
+        assert_eq!(
+            anycast_pick(Some(3), Vec::<((u32, u128), char)>::new()),
+            (true, None)
+        );
+        assert_eq!(
+            anycast_pick(None, [((1, 5), 'a'), ((1, 5), 'b')]),
+            (false, Some('a'))
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass pick agrees with the sort-based selection it
+        /// replaced, ties included (small key ranges make them common).
+        #[test]
+        fn prop_anycast_pick_matches_sort_based_selection(
+            local in 0u32..6,
+            local_eligible in any::<bool>(),
+            keys in proptest::collection::vec((0u32..4, 1u128..4), 0..24),
+        ) {
+            let local = local_eligible.then_some(local);
+            let children: Vec<((u32, u128), usize)> =
+                keys.into_iter().enumerate().map(|(i, k)| (k, i)).collect();
+            prop_assert_eq!(
+                anycast_pick(local, children.iter().copied()),
+                sort_based_pick(local, &children)
+            );
+        }
     }
 }
