@@ -76,11 +76,21 @@ for pin in rebalance:1:b75d0622a2800453 rebalance:2:d81d7193ea252f1d \
     fi
 done
 
+# The paper's evaluation as one checked run: every figure and ablation row
+# prints its series, rewrites its CSV and judges its claim; a verdict that
+# differs from the row's expectation exits non-zero. The drift gate below
+# then holds the CSVs and the log to the committed record.
+echo "==> repro (every figure's claim, plus the figure record)"
+cargo run --release -q -p vbundle-bench --bin repro > results/all_figures.log
+
 echo "==> golden files unchanged"
-if ! git diff --quiet -- results/*.golden BENCH_surv.json BENCH_market.json; then
-    git --no-pager diff -- results/*.golden BENCH_surv.json BENCH_market.json
+golden=(results/*.golden results/fig*.csv results/all_figures.log BENCH_surv.json BENCH_market.json)
+if ! git diff --quiet -- "${golden[@]}"; then
+    git --no-pager diff --stat -- "${golden[@]}"
+    git --no-pager diff -- results/*.golden results/all_figures.log BENCH_surv.json BENCH_market.json
     echo "golden drift: inspect the diff, then regen with" \
-         "'cargo run --release -p vbundle-bench --bin <sweep> -- --smoke --bless'" >&2
+         "'cargo run --release -p vbundle-bench --bin <sweep> -- --smoke --bless'" \
+         "or 'cargo run --release -p vbundle-bench --bin repro > results/all_figures.log'" >&2
     exit 1
 fi
 

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use vbundle_fdetect::{ArrivalWindow, PhiConfig, FIRST_INTERVAL, PHI_THRESHOLD};
+use vbundle_fdetect::{ArrivalWindow, FIRST_INTERVAL, PHI_THRESHOLD};
 use vbundle_pastry::{Id, NodeHandle};
 use vbundle_scribe::{GroupId, ScribeCtx};
 use vbundle_sim::{Message, SimDuration, SimTime};
@@ -39,12 +39,6 @@ pub struct AggregationConfig {
     /// Per-node processing time added before each upward push (the paper
     /// measures 1–2 ms per tree level; default 1.5 ms).
     pub processing_delay: SimDuration,
-    /// If set, each node tracks the arrival cadence of global results with
-    /// a phi-accrual window and expires its cached aggregate once the
-    /// publishing root has been silent implausibly long — so a dead root's
-    /// last value cannot steer rebalancing forever. `None` keeps cached
-    /// aggregates until a newer result supersedes them.
-    pub staleness: Option<PhiConfig>,
     /// How incoming contributions are screened and combined. Defaults to
     /// [`Robustness::TrustAll`] — exact, lossless aggregation — because
     /// honest-network tests and the Fig. 14 measurements assert exact sums;
@@ -57,7 +51,6 @@ impl Default for AggregationConfig {
         AggregationConfig {
             mode: UpdateMode::Periodic(SimDuration::from_mins(5)),
             processing_delay: SimDuration::from_micros(1500),
-            staleness: Some(PhiConfig::default()),
             robustness: Robustness::TrustAll,
         }
     }
@@ -223,9 +216,6 @@ impl Aggregator {
     /// expires the cache so rebalancing falls back to local knowledge
     /// instead of steering on a ghost value.
     fn expire_stale(&mut self, now: SimTime) {
-        if self.config.staleness.is_none() {
-            return;
-        }
         let pause = match self.config.mode {
             UpdateMode::Periodic(interval) => interval,
             UpdateMode::Immediate => FIRST_INTERVAL,
@@ -330,9 +320,6 @@ impl Aggregator {
 
     /// Records an accepted global result in the topic's arrival window.
     fn record_result(config: &AggregationConfig, st: &mut TopicState, now: SimTime) {
-        if config.staleness.is_none() {
-            return;
-        }
         let estimate = match config.mode {
             UpdateMode::Periodic(interval) => interval,
             UpdateMode::Immediate => FIRST_INTERVAL,
@@ -471,19 +458,6 @@ mod tests {
         assert!(a.global(topic()).is_some(), "within estimate + pause");
         a.expire_stale(t(60));
         assert!(a.global(topic()).is_none(), "way past any plausible round");
-    }
-
-    #[test]
-    fn disabled_staleness_keeps_ghost_values() {
-        let mut a = Aggregator::new(AggregationConfig {
-            mode: UpdateMode::Periodic(SimDuration::from_secs(10)),
-            staleness: None,
-            ..AggregationConfig::default()
-        });
-        a.topics.insert(TOPIC, TopicState::default());
-        a.on_result(topic(), 5, 1, AggValue::of(1.0), t(0));
-        a.expire_stale(t(100_000));
-        assert!(a.global(topic()).is_some());
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn build_cluster_with(detection: FailureDetection) -> (Cluster, Vec<VmId>) {
     let pastry = PastryConfig {
         heartbeat: Some(SimDuration::from_secs(1)),
         maintenance: Some(SimDuration::from_secs(10)),
-        failure_detection: detection.clone(),
+        failure_detection: detection,
         ..PastryConfig::default()
     };
     let mut scribe = ScribeConfig::default().with_probe_interval(SimDuration::from_secs(5));
@@ -360,11 +360,7 @@ fn detector_comparison() -> Vec<String> {
     );
     let mut rows = Vec::new();
     for (name, plan) in degraded_plans() {
-        let (phi_report, phi_evict) = play_with(
-            name,
-            plan.clone(),
-            FailureDetection::PhiAccrual(Default::default()),
-        );
+        let (phi_report, phi_evict) = play_with(name, plan.clone(), FailureDetection::PhiAccrual);
         let (fixed_report, fixed_evict) = play_with(name, plan, FailureDetection::FixedInterval);
         println!(
             "{:<18} {:>14} {:>14} {:>18} {:>18}",

@@ -1,8 +1,7 @@
-//! Shared scenario assembly for the figure-reproduction binaries
-//! (`src/bin/fig*.rs`) and the Table I Criterion benches (`benches/`).
-//!
-//! Each binary regenerates one table or figure of the paper's evaluation
-//! (§IV–§V); see `DESIGN.md` for the experiment index and
+//! Shared scenario assembly for the `repro` binary (`src/bin/repro.rs`),
+//! which regenerates and checks every figure of the paper's evaluation
+//! (§IV–§V), the sweep binaries, and the Table I Criterion benches
+//! (`benches/`). See `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for paper-vs-measured numbers.
 
 #![forbid(unsafe_code)]
@@ -200,8 +199,8 @@ pub fn golden_gate(label: &str, name: &str, report: &str, bless: bool) {
 }
 
 /// Writes `rows` as CSV into `results/<name>` (creating the directory),
-/// with a header line. Errors are reported but non-fatal so figure
-/// binaries still print their stdout series.
+/// with a header line. Errors are reported but non-fatal so `repro`
+/// still prints its stdout series.
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     let dir = Path::new("results");
     let write = || -> std::io::Result<()> {

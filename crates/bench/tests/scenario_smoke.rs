@@ -1,6 +1,6 @@
 //! Small-scale smoke tests of the figure scenarios, so the benchmark
-//! harness code is exercised by `cargo test` (the full-size runs live in
-//! the `fig*` binaries).
+//! harness code is exercised by `cargo test` (the full-size runs are the
+//! rows of the `repro` binary).
 
 use std::sync::Arc;
 

@@ -79,6 +79,10 @@ const BOOT_TTL: u32 = 4096;
 /// Ceiling of a plausible cluster mean utilization (10): oversubscription
 /// can push demand over capacity past 1, but never this far.
 const MEAN_CEILING: f64 = 10.0;
+/// Consecutive mutually consistent suspect readings after which the mean
+/// gate re-anchors on the new level (3): a genuine cluster-wide load
+/// change must not wedge the controller on a stale mean forever.
+const MEAN_RECOVERY_ROUNDS: u32 = 3;
 /// Fraction of a would-be lender's spare reservation kept back as
 /// self-insurance against its own demand growing mid-lease (10%).
 const TRADE_MARGIN: f64 = 0.1;
@@ -864,7 +868,7 @@ impl Controller {
             );
             // Suspect. Readings agreeing with the current candidate level
             // extend the streak; a genuine load change repeats itself and
-            // re-anchors after `mean_recovery_rounds`, while flapping
+            // re-anchors after `MEAN_RECOVERY_ROUNDS`, while flapping
             // poison keeps resetting. Out-of-bounds values (NaN, negative,
             // huge) can never anchor a candidate.
             if in_bounds {
@@ -876,7 +880,7 @@ impl Controller {
                     gate.candidate = reading;
                     gate.streak = 1;
                 }
-                if gate.streak >= self.config.mean_recovery_rounds {
+                if gate.streak >= MEAN_RECOVERY_ROUNDS {
                     gate.last_good = Some(reading);
                     gate.streak = 0;
                 }
@@ -3037,9 +3041,7 @@ mod tests {
         let mut c = Controller::new(
             ResourceVector::bandwidth_only(Bandwidth::from_gbps(1.0)),
             AggregationConfig::default(),
-            VBundleConfig::default()
-                .with_mean_jump_bound(0.2)
-                .with_mean_recovery_rounds(2),
+            VBundleConfig::default().with_mean_jump_bound(0.2),
         );
         let bw = crate::ResourceKind::Bandwidth;
         feed_mean(&mut c, 1, 0.5);
@@ -3056,12 +3058,20 @@ mod tests {
         assert_eq!(c.stats.rejected_aggregates.get(), 1);
 
         // The same level repeating looks like a genuine cluster-wide load
-        // change: after `mean_recovery_rounds` consistent readings the gate
+        // change: after `MEAN_RECOVERY_ROUNDS` consistent readings the gate
         // re-anchors and leaves conservative mode.
+        for _ in 2..MEAN_RECOVERY_ROUNDS {
+            c.gate_means();
+            assert_eq!(c.effective_mean_for(bw), Some(0.5));
+            assert!(c.conservative_mode());
+        }
         c.gate_means();
         assert_eq!(c.effective_mean_for(bw), Some(5.0));
         assert!(!c.conservative_mode());
-        assert_eq!(c.stats.rejected_aggregates.get(), 2);
+        assert_eq!(
+            c.stats.rejected_aggregates.get(),
+            u64::from(MEAN_RECOVERY_ROUNDS)
+        );
     }
 
     #[test]
@@ -3069,9 +3079,7 @@ mod tests {
         let mut c = Controller::new(
             ResourceVector::bandwidth_only(Bandwidth::from_gbps(1.0)),
             AggregationConfig::default(),
-            VBundleConfig::default()
-                .with_mean_jump_bound(0.2)
-                .with_mean_recovery_rounds(2),
+            VBundleConfig::default().with_mean_jump_bound(0.2),
         );
         let bw = crate::ResourceKind::Bandwidth;
         feed_mean(&mut c, 1, 0.5);

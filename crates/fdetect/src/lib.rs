@@ -35,7 +35,7 @@ pub mod probe;
 pub use courier::{backoff_rounds, Courier, CourierConfig, RetryDecision};
 pub use dedup::DedupWindow;
 pub use domain::DomainSuspicion;
-pub use phi::{ArrivalWindow, FailureDetector, PhiConfig, Verdict, FIRST_INTERVAL, PHI_THRESHOLD};
+pub use phi::{ArrivalWindow, FailureDetector, Verdict, FIRST_INTERVAL, PHI_THRESHOLD};
 pub use probe::Probe;
 
 /// How a protocol layer decides that a peer is dead.
@@ -43,28 +43,13 @@ pub use probe::Probe;
 /// Carried inside each layer's config so ablation sweeps (and the
 /// `chaos_sweep` false-positive comparison) can flip one layer at a time
 /// between the legacy fixed deadline and the adaptive detector.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FailureDetection {
     /// Legacy behaviour: a peer silent for `multiplier × probe interval`
     /// is declared dead outright, no second opinion.
     FixedInterval,
     /// Phi-accrual suspicion plus SWIM-style indirect probing before
     /// eviction.
-    PhiAccrual(PhiConfig),
-}
-
-impl Default for FailureDetection {
-    fn default() -> Self {
-        FailureDetection::PhiAccrual(PhiConfig::default())
-    }
-}
-
-impl FailureDetection {
-    /// The phi configuration, if adaptive detection is selected.
-    pub fn phi_config(&self) -> Option<&PhiConfig> {
-        match self {
-            FailureDetection::FixedInterval => None,
-            FailureDetection::PhiAccrual(c) => Some(c),
-        }
-    }
+    #[default]
+    PhiAccrual,
 }

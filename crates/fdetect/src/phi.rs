@@ -41,30 +41,9 @@ pub const FIRST_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// Slack the detector adds to the fitted mean before phi starts to climb
 /// (none): the suspect grace, not a pause, absorbs one-off gaps.
 const ACCEPTABLE_PAUSE: SimDuration = SimDuration::ZERO;
-
-/// Tunables of the phi-accrual detector.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhiConfig {
-    /// How long a suspect may redeem itself (e.g. through an indirect
-    /// probe relayed by an intermediary) before it is declared dead.
-    pub confirm_timeout: SimDuration,
-}
-
-impl Default for PhiConfig {
-    fn default() -> Self {
-        PhiConfig {
-            confirm_timeout: SimDuration::from_secs(3),
-        }
-    }
-}
-
-impl PhiConfig {
-    /// Sets the confirmation grace a suspect gets before eviction.
-    pub fn with_confirm_timeout(mut self, timeout: SimDuration) -> Self {
-        self.confirm_timeout = timeout;
-        self
-    }
-}
+/// How long a suspect may redeem itself (e.g. through an indirect probe
+/// relayed by an intermediary) before it is declared dead (3 s).
+const CONFIRM_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
 /// A bounded window of the last 16 inter-arrival times for one
 /// peer.
@@ -189,7 +168,6 @@ pub enum Verdict {
 #[derive(Debug, Clone)]
 pub struct FailureDetector<K: Ord + Copy> {
     peers: BTreeMap<K, PeerState>,
-    config: PhiConfig,
 }
 
 #[derive(Debug, Clone)]
@@ -198,12 +176,17 @@ struct PeerState {
     suspect_since: Option<SimTime>,
 }
 
+impl<K: Ord + Copy> Default for FailureDetector<K> {
+    fn default() -> Self {
+        FailureDetector::new()
+    }
+}
+
 impl<K: Ord + Copy> FailureDetector<K> {
-    /// Creates a detector with the given tunables.
-    pub fn new(config: PhiConfig) -> Self {
+    /// Creates a detector tracking no peers.
+    pub fn new() -> Self {
         FailureDetector {
             peers: BTreeMap::new(),
-            config,
         }
     }
 
@@ -265,7 +248,6 @@ impl<K: Ord + Copy> FailureDetector<K> {
         now: SimTime,
         estimate: SimDuration,
     ) -> Verdict {
-        let confirm = self.config.confirm_timeout;
         let st = self.entry(key, now, estimate);
         if st.window.phi(now, ACCEPTABLE_PAUSE) < PHI_THRESHOLD {
             st.suspect_since = None;
@@ -276,7 +258,7 @@ impl<K: Ord + Copy> FailureDetector<K> {
                 st.suspect_since = Some(now);
                 Verdict::NewlySuspect
             }
-            Some(since) if now.saturating_since(since) >= confirm => Verdict::Dead,
+            Some(since) if now.saturating_since(since) >= CONFIRM_TIMEOUT => Verdict::Dead,
             Some(_) => Verdict::Suspect,
         }
     }
@@ -340,9 +322,7 @@ mod tests {
 
     #[test]
     fn suspect_state_machine_escalates_then_redeems() {
-        let mut d: FailureDetector<u64> = FailureDetector::new(
-            PhiConfig::default().with_confirm_timeout(SimDuration::from_secs(2)),
-        );
+        let mut d: FailureDetector<u64> = FailureDetector::new();
         for s in 0..6 {
             d.heartbeat(7, t(s));
         }
@@ -355,14 +335,20 @@ mod tests {
         assert_eq!(d.evaluate(7, t(11)), Verdict::Alive);
         // Silence again — longer this time, because the window has now
         // absorbed the 5 s gap and adapted its expectations — and this
-        // time nobody vouches: dead after the confirmation grace.
+        // time nobody vouches: dead after the confirmation grace, and not
+        // a microsecond before.
         assert_eq!(d.evaluate(7, t(22)), Verdict::NewlySuspect);
-        assert_eq!(d.evaluate(7, t(25)), Verdict::Dead);
+        let deadline = t(22) + CONFIRM_TIMEOUT;
+        assert_eq!(
+            d.evaluate(7, deadline - SimDuration::from_micros(1)),
+            Verdict::Suspect
+        );
+        assert_eq!(d.evaluate(7, deadline), Verdict::Dead);
     }
 
     #[test]
     fn observe_alone_accrues_suspicion() {
-        let mut d: FailureDetector<u64> = FailureDetector::new(PhiConfig::default());
+        let mut d: FailureDetector<u64> = FailureDetector::new();
         d.observe_with_estimate(1, t(0), SimDuration::from_secs(1));
         assert!(matches!(
             d.evaluate(1, t(30)),
@@ -372,7 +358,7 @@ mod tests {
 
     #[test]
     fn forget_and_clear_reset_state() {
-        let mut d: FailureDetector<u64> = FailureDetector::new(PhiConfig::default());
+        let mut d: FailureDetector<u64> = FailureDetector::new();
         d.heartbeat(1, t(0));
         d.heartbeat(2, t(0));
         d.forget(&1);
@@ -447,9 +433,8 @@ mod tests {
         // Two detectors see the same heartbeat/evaluate trace over a few
         // peers with per-peer estimates; one takes the two-call sequence,
         // the other the fused call. Every verdict must agree.
-        let config = PhiConfig::default().with_confirm_timeout(SimDuration::from_secs(2));
-        let mut fused: FailureDetector<u64> = FailureDetector::new(config.clone());
-        let mut paired: FailureDetector<u64> = FailureDetector::new(config);
+        let mut fused: FailureDetector<u64> = FailureDetector::new();
+        let mut paired: FailureDetector<u64> = FailureDetector::new();
         let mut rng = StdRng::seed_from_u64(5);
         let mut now = 0u64;
         let mut seen = [false; 4];

@@ -65,4 +65,4 @@ pub use message::{PastryMsg, RouteEnvelope};
 pub use node::{AppCtx, PastryApp, PastryNode, PASTRY_TAG_BASE};
 pub use overlay::IdAssignment;
 pub use state::{LeafSet, NeighborSet, PastryState, RouteDecision, RoutingTable};
-pub use vbundle_fdetect::{FailureDetection, PhiConfig};
+pub use vbundle_fdetect::FailureDetection;

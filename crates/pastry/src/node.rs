@@ -282,7 +282,7 @@ impl<A: PastryApp> PastryNode<A> {
     fn make_detector(config: &PastryConfig) -> Option<FailureDetector<u128>> {
         match &config.failure_detection {
             FailureDetection::FixedInterval => None,
-            FailureDetection::PhiAccrual(phi) => Some(FailureDetector::new(phi.clone())),
+            FailureDetection::PhiAccrual => Some(FailureDetector::new()),
         }
     }
 

@@ -365,7 +365,7 @@ impl<C: ScribeClient> Scribe<C> {
     pub fn with_config(client: C, config: ScribeConfig) -> Self {
         let child_detector = match &config.child_detection {
             FailureDetection::FixedInterval => None,
-            FailureDetection::PhiAccrual(phi) => Some(FailureDetector::new(phi.clone())),
+            FailureDetection::PhiAccrual => Some(FailureDetector::new()),
         };
         Scribe {
             groups: BTreeMap::new(),
